@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import FiniteGroup
-from .linalg import as_complex_array, readonly
+from .linalg import as_complex_array, dag, readonly
 from .serialize import FormatError, decode_complex_array, encode_complex_array
 
 __all__ = [
@@ -112,20 +112,15 @@ class CounitalBialgebra:
         out[i] = 1.0
         return out
 
-    def product_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficients of the product of two elements given by coefficients."""
-        return np.einsum("i,j,ijk->k", a, b, self.mult)
-
-    def star_coeffs(self, a: np.ndarray) -> np.ndarray:
-        """Coefficients of a*; conjugate-linear in a."""
-        return np.einsum("i,ij->j", np.conjugate(a), self.invol)
-
     def star_product_basis(self, i: int, j: int) -> np.ndarray:
         """Coefficients of (b_i)* b_j."""
         return np.einsum("k,kl->l", self.invol[i], self.mult[:, j, :])
 
-    def apply_rep(self, a: np.ndarray) -> np.ndarray:
-        return np.einsum("i,iab->ab", a, self.rep)
+    def homomorphism_defects(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Defects of b_i -> mats[i] as a *-homomorphism: products [i, j, a, c] and stars [i, a, b]."""
+        product = np.einsum("iab,jbc->ijac", mats, mats) - np.einsum("ijk,kac->ijac", self.mult, mats)
+        star = dag(mats) - np.einsum("ij,jab->iab", self.invol, mats)
+        return product, star
 
     def is_cocommutative(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1))) <= tol)
@@ -238,8 +233,7 @@ def verify_bialgebra(b: CounitalBialgebra, tol: float = 1e-12) -> BialgebraRepor
     rho = b.rep
     record(
         "representation",
-        np.einsum("iab,jbc->ijac", rho, rho) - np.einsum("ijk,kac->ijac", m, rho),
-        np.conjugate(np.swapaxes(rho, 1, 2)) - np.einsum("ij,jab->iab", s, rho),
+        *b.homomorphism_defects(rho),
         np.einsum("i,iab->ab", u, rho) - np.eye(b.rep_dim),
     )
 

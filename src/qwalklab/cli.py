@@ -63,31 +63,34 @@ def _write_sweep_outputs(result: RunResult, out_dir: Path) -> None:
         (out_dir / "errors.dat").write_text(result.dat_text)
 
 
-def _axiom_failure_report(exc: AxiomViolation, out_dir: Path, label: str) -> None:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "label": label,
-        "mode": "verify",
-        "checks": {
-            "bialgebra_axioms": {
-                "passed": False,
-                "axiom": exc.axiom,
-                "basis_index": list(exc.index),
-                "residual": exc.residual,
-            }
-        },
-        "passed": False,
-    }
-    write_json(out_dir / "report.json", report)
+def _load_config(path, out_dir: Path, label: str) -> ExperimentConfig | None:
+    """Parse the config; on an axiom violation write a failing report and return None."""
+    try:
+        return ExperimentConfig.from_file(path)
+    except AxiomViolation as exc:
+        report = {
+            "schema": REPORT_SCHEMA,
+            "label": label,
+            "mode": "verify",
+            "checks": {
+                "bialgebra_axioms": {
+                    "passed": False,
+                    "axiom": exc.axiom,
+                    "basis_index": list(exc.index),
+                    "residual": exc.residual,
+                }
+            },
+            "passed": False,
+        }
+        write_json(out_dir / "report.json", report)
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_verify(args) -> int:
     out_dir = Path(args.out)
-    try:
-        config = ExperimentConfig.from_file(args.config)
-    except AxiomViolation as exc:
-        _axiom_failure_report(exc, out_dir, Path(args.config).stem)
-        print(f"verification failed: {exc}", file=sys.stderr)
+    config = _load_config(args.config, out_dir, Path(args.config).stem)
+    if config is None:
         return 1
     log.info("verify: %s", config.label)
     result = run_verify(config)
@@ -98,11 +101,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out_dir = Path(args.out)
-    try:
-        config = ExperimentConfig.from_file(args.config)
-    except AxiomViolation as exc:
-        _axiom_failure_report(exc, out_dir, Path(args.config).stem)
-        print(f"verification failed: {exc}", file=sys.stderr)
+    config = _load_config(args.config, out_dir, Path(args.config).stem)
+    if config is None:
         return 1
     log.info("sweep: %s over %d step lengths", config.label, len(config.h_values))
     result = run_sweep(config)
@@ -119,11 +119,8 @@ def _cmd_demo(args) -> int:
     out_dir = Path(args.out)
     config_path = write_demo(args.name, out_dir)
     log.info("demo %s: wrote %s", args.name, config_path)
-    try:
-        config = ExperimentConfig.from_file(config_path)
-    except AxiomViolation as exc:
-        _axiom_failure_report(exc, out_dir, args.name)
-        print(f"verification failed: {exc}", file=sys.stderr)
+    config = _load_config(config_path, out_dir, args.name)
+    if config is None:
         return 1
     verify = run_verify(config)
     sweep = run_sweep(config) if verify.passed else None

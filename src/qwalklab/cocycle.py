@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import ConvolutionSemigroup, convolve_functionals
-from .fock import GridSpec, StepFunction, _as_coeffs, walk_matrix_element
+from .fock import GridSpec, StepFunction, _as_coeffs, _pieces, walk_matrix_element
 from .linalg import as_complex_array
 from .structure_maps import (
     ImplementingTriple,
@@ -79,23 +79,16 @@ class CocycleEvaluator:
         """<eps(f), l_t(b) eps(g)>; b may be a basis index or coefficients."""
         if t < 0:
             raise ValueError("time must be nonnegative")
-        d = self.hat.noise_dim
-        if f.noise_dim != d or g.noise_dim != d:
+        dim = self.hat.noise_dim
+        if f.noise_dim != dim or g.noise_dim != dim:
             raise ValueError(
                 f"step functions have noise dimension {f.noise_dim}/{g.noise_dim}, "
-                f"generator expects {d}"
+                f"generator expects {dim}"
             )
         b_coeffs = _as_coeffs(self.source, b_coeffs)
-        cuts = sorted(
-            {0.0, t}
-            | {float(s) for s in f.breakpoints if 0.0 < s < t}
-            | {float(s) for s in g.breakpoints if 0.0 < s < t}
-        )
         out = self.source.counit
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            lam = self._semigroup(f.value_at(mid), g.value_at(mid)).at(hi - lo)
-            out = convolve_functionals(self.source, out, lam)
+        for lo, hi, c, d in _pieces(0.0, t, f, g):
+            out = convolve_functionals(self.source, out, self._semigroup(c, d).at(hi - lo))
         tail = np.exp(f.overlap(g, a=t))
         return complex(np.dot(out, b_coeffs) * tail)
 

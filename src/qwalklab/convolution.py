@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_DIMENSION_CAP",
     "convolve",
     "convolve_functionals",
+    "transfer_matrix",
     "mult_convolve",
     "convolution_iterates",
     "LiftedMap",
@@ -68,6 +69,11 @@ def convolve(f: OperatorMap, g: OperatorMap, cap: int = DEFAULT_DIMENSION_CAP) -
 def convolve_functionals(b: CounitalBialgebra, f, g) -> np.ndarray:
     """Scalar-valued special case; returns the coefficient row of f * g."""
     return np.einsum("ijk,j,k->i", b.coproduct, as_complex_array(f), as_complex_array(g))
+
+
+def transfer_matrix(b: CounitalBialgebra, psi) -> np.ndarray:
+    """T[i, j] = sum_k Delta_i^{jk} psi_k, so that T @ f is the coefficient row of f * psi."""
+    return np.einsum("ijk,k->ij", b.coproduct, as_complex_array(psi))
 
 
 def mult_convolve(f: OperatorMap, g: OperatorMap) -> OperatorMap:
@@ -168,8 +174,7 @@ class ConvolutionSemigroup:
         else:
             self.k = 1
             self.psi = as_complex_array(psi)
-            # T(b_i) = sum_j T[i, j] b_j with T[i, j] = sum_k Delta_i^{jk} psi_k
-            self.transfer = np.einsum("ijk,k->ij", source.coproduct, self.psi)
+            self.transfer = transfer_matrix(source, self.psi)
 
     def at(self, t: float):
         """Value of exp_*(t psi), same kind as psi."""

@@ -9,7 +9,6 @@ and matrix-element errors against the cocycle limit.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -364,23 +363,8 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     h0 = config.h_values[0]
     psi = build_walk(triple, chi, h0)
     if triple.D is None:
-        hom = float(
-            np.max(
-                np.abs(
-                    np.einsum("iab,jbc->ijac", psi.mats, psi.mats)
-                    - np.einsum("ijk,kac->ijac", b.mult, psi.mats)
-                )
-            )
-        )
-        star = float(
-            np.max(
-                np.abs(
-                    np.conjugate(np.swapaxes(psi.mats, 1, 2))
-                    - np.einsum("ij,jab->iab", b.invol, psi.mats)
-                )
-            )
-        )
-        _check(report, "walk_homomorphism", max(hom, star), tol["homomorphism"])
+        hom = max(float(np.max(np.abs(defect))) for defect in b.homomorphism_defects(psi.mats))
+        _check(report, "walk_homomorphism", hom, tol["homomorphism"])
     else:
         choi_min = float(np.linalg.eigvalsh((cp_block_matrix(psi) + cp_block_matrix(psi).conj().T) / 2)[0])
         _check(report, "walk_choi_positive", max(0.0, -choi_min), tol["choi"], min_eig=choi_min)
@@ -426,7 +410,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     return RunResult(report=report, passed=passed)
 
 
-def _probe_label(config: ExperimentConfig, pair_idx: int, t: float, probe: int) -> str:
+def _probe_label(pair_idx: int, t: float, probe: int) -> str:
     return f"p{pair_idx}_t{t:g}_b{probe}"
 
 
@@ -438,7 +422,7 @@ def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, com
     for k, (f, g) in enumerate(config.pairs):
         for t in config.sample_times:
             for probe in config.probes:
-                label = _probe_label(config, k, t, probe)
+                label = _probe_label(k, t, probe)
                 walk_val = walk_matrix_element(psi, probe, f, g, t, h)
                 errors[label] = abs(walk_val - limits[label])
     return {
@@ -453,8 +437,7 @@ def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, com
 def run_sweep(config: ExperimentConfig) -> RunResult:
     """Walks down the h ladder: generator gaps plus matrix-element errors.
 
-    The h points are independent, so they run on a thread pool; rows are
-    assembled in descending-h order afterwards.
+    Rows are computed one per step length, in descending-h order.
     """
     phi = config.generator()
     evaluator = CocycleEvaluator(phi)
@@ -462,9 +445,8 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     for k, (f, g) in enumerate(config.pairs):
         for t in config.sample_times:
             for probe in config.probes:
-                limits[_probe_label(config, k, t, probe)] = evaluator.matrix_element(probe, f, g, t)
-    with ThreadPoolExecutor(max_workers=min(4, len(config.h_values))) as pool:
-        rows = list(pool.map(lambda h: _sweep_row(config, phi, limits, h), config.h_values))
+                limits[_probe_label(k, t, probe)] = evaluator.matrix_element(probe, f, g, t)
+    rows = [_sweep_row(config, phi, limits, h) for h in config.h_values]
     max_errors = [row["max_error"] for row in rows]
     tail = max(2, -(-len(rows) // 2))
     tail_rows = rows[-tail:]
@@ -520,10 +502,10 @@ def _columns(report: dict) -> list[str]:
     return sorted(report["rows"][0]["errors"].keys()) if report["rows"] else []
 
 
-def errors_to_csv(report: dict) -> str:
+def _error_lines(report: dict, sep: str) -> list[str]:
+    """The column header and one line per row, cells joined by sep."""
     cols = _columns(report)
-    lines = [f"# schema: {CSV_SCHEMA}"]
-    lines.append(",".join(["h", "n_steps", "generator_gap", "max_error"] + [f"err_{c}" for c in cols]))
+    lines = [sep.join(["h", "n_steps", "generator_gap", "max_error"] + [f"err_{c}" for c in cols])]
     for row in report["rows"]:
         cells = [
             f"{row['h']:.17g}",
@@ -532,24 +514,19 @@ def errors_to_csv(report: dict) -> str:
             f"{row['max_error']:.17g}",
         ]
         cells.extend(f"{row['errors'][c]:.17g}" for c in cols)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        lines.append(sep.join(cells))
+    return lines
+
+
+def errors_to_csv(report: dict) -> str:
+    header, *rows = _error_lines(report, ",")
+    return "\n".join([f"# schema: {CSV_SCHEMA}", header, *rows]) + "\n"
 
 
 def errors_to_dat(report: dict) -> str:
     """Gnuplot-ready: whitespace-separated columns, '#' comment header."""
-    cols = _columns(report)
-    lines = [f"# {CSV_SCHEMA}", "# " + " ".join(["h", "n_steps", "generator_gap", "max_error"] + [f"err_{c}" for c in cols])]
-    for row in report["rows"]:
-        cells = [
-            f"{row['h']:.17g}",
-            str(row["n_steps"]),
-            f"{row['generator_gap']:.17g}",
-            f"{row['max_error']:.17g}",
-        ]
-        cells.extend(f"{row['errors'][c]:.17g}" for c in cols)
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
+    header, *rows = _error_lines(report, " ")
+    return "\n".join([f"# {CSV_SCHEMA}", "# " + header, *rows]) + "\n"
 
 
 # -- demos -----------------------------------------------------------------

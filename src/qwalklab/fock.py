@@ -9,10 +9,14 @@ products reduce to the closed forms
 
 with g constant on each cell.  An n-step walk matrix element between
 exponential vectors therefore factorizes into a left-to-right
-convolution of n scalar functionals (one per grid cell), which is how
-walk_matrix_element avoids materializing the (d+1)^n-dimensional
-iterate; the materialized route (toy_matrix_element composed with
-convolution_iterates) agrees and is used as a cross-check at small n.
+convolution of n scalar functionals, one per grid cell.  On each piece
+of the common refinement of f and g the functional is the same lambda,
+so the piece contributes the convolution power lambda^{*m} over its m
+cells; walk_matrix_element multiplies these per-piece powers in order,
+the same product shape as the cocycle limit, and never materializes the
+(d+1)^n-dimensional iterate.  The materialized route (toy_matrix_element
+composed with convolution_iterates) agrees and is used as a
+cross-check at small n.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import convolve_functionals
+from .convolution import convolve_functionals, transfer_matrix
 from .linalg import as_complex_array, readonly
 from .serialize import FormatError
 from .structure_maps import OperatorMap
@@ -101,11 +105,7 @@ class StepFunction:
         """The function s -> f(a + s) on [0, b - a), for [a, b) inside the support grid."""
         if b <= a:
             raise ValueError("empty restriction window")
-        cuts = sorted({0.0, b - a} | {float(t - a) for t in self.breakpoints if a < t < b})
-        segments = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            segments.append((hi - lo, self.value_at(a + 0.5 * (lo + hi))))
-        return StepFunction.from_segments(segments)
+        return StepFunction.from_segments((hi - lo, v) for lo, hi, v, _ in _pieces(a, b, self, self))
 
     def overlap(self, other: "StepFunction", a: float = 0.0, b: float | None = None) -> complex:
         """integral_a^b <self(s), other(s)> ds (first argument conjugated)."""
@@ -115,20 +115,19 @@ class StepFunction:
         b = upper if b is None else min(b, upper)
         if b <= a:
             return 0.0 + 0.0j
-        cuts = sorted(
-            {a, b}
-            | {float(t) for t in self.breakpoints if a < t < b}
-            | {float(t) for t in other.breakpoints if a < t < b}
-        )
-        total = 0.0 + 0.0j
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (lo + hi)
-            total += (hi - lo) * np.vdot(self.value_at(mid), other.value_at(mid))
-        return complex(total)
+        return complex(sum((hi - lo) * np.vdot(u, v) for lo, hi, u, v in _pieces(a, b, self, other)))
 
     def exponential_inner(self, other: "StepFunction") -> complex:
         """<eps(self), eps(other)> = exp(full overlap integral)."""
         return complex(np.exp(self.overlap(other)))
+
+
+def _pieces(a: float, b: float, f: StepFunction, g: StepFunction):
+    """(lo, hi, f(mid), g(mid)) over the common refinement of f, g and [a, b)."""
+    cuts = sorted({float(a), float(b)} | {float(t) for fn in (f, g) for t in fn.breakpoints if a < t < b})
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        yield lo, hi, f.value_at(mid), g.value_at(mid)
 
 
 @dataclass(frozen=True)
@@ -231,10 +230,13 @@ def walk_matrix_element(
 ) -> complex:
     """<eps(f), (D psi^{*n}(b) D* (x) I) eps(g)> with n = floor(t / h).
 
-    Computed in factorized form: the j-th cell contributes the functional
-    lambda_j(b_i) = <(1, h^{1/2} f_j), psi(b_i) (1, h^{1/2} g_j)> and the
-    matrix element is (lambda_1 * ... * lambda_n)(b) times the tail
-    factor, a chain of n coefficient-space convolutions.
+    Computed in factorized form: a cell where f and g hold the values c
+    and d contributes the functional lambda(b_i) = <(1, h^{1/2} c),
+    psi(b_i) (1, h^{1/2} d)>.  Each piece of the common refinement of f
+    and g spanning m cells therefore contributes lambda^{*m}, computed
+    as the m-th power of its transfer matrix applied to the counit, and
+    the matrix element is the left-to-right convolution of these powers
+    at b, times the tail factor.
     """
     src = psi.source
     b_coeffs = _as_coeffs(src, b_coeffs)
@@ -244,13 +246,15 @@ def walk_matrix_element(
             f"walk step acts on hat dimension {psi.dim} but step functions have "
             f"noise dimension {f.noise_dim}/{g.noise_dim}"
         )
-    u = step_hat_vectors(f, grid)
-    v = step_hat_vectors(g, grid)
-    # lambda_j[i] = <u_j, psi(b_i) v_j>
-    lams = np.einsum("ja,iab,jb->ji", np.conjugate(u), psi.mats, v)
-    out = src.counit if grid.n == 0 else lams[0]
-    for j in range(1, grid.n):
-        out = convolve_functionals(src, out, lams[j])
+    _validate_alignment(f, grid)
+    _validate_alignment(g, grid)
+    root_h = np.sqrt(grid.h)
+    out = src.counit
+    for lo, hi, c, d in _pieces(0.0, grid.horizon, f, g):
+        u, v = psi.hat.hat(root_h * c), psi.hat.hat(root_h * d)
+        lam = np.einsum("a,iab,b->i", np.conjugate(u), psi.mats, v)
+        power = np.linalg.matrix_power(transfer_matrix(src, lam), round((hi - lo) / grid.h)) @ src.counit
+        out = convolve_functionals(src, out, power)
     return complex(np.dot(out, b_coeffs) * _tail_factor(f, g, grid.horizon))
 
 

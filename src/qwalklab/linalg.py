@@ -13,10 +13,8 @@ __all__ = [
     "dag",
     "opnorm",
     "opnorms",
-    "min_eig_hermitian",
     "polar_unitary",
     "top_singular_triple",
-    "kron_all",
 ]
 
 
@@ -49,18 +47,6 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
     return s[..., 0]
 
 
-def min_eig_hermitian(m: np.ndarray, *, herm_tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a (numerically) Hermitian matrix.
-
-    Raises if the Hermiticity defect exceeds herm_tol relative to the norm.
-    """
-    defect = opnorm(m - dag(m))
-    scale = max(1.0, opnorm(m))
-    if defect > herm_tol * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return float(np.linalg.eigvalsh((m + dag(m)) / 2.0)[0])
-
-
 def polar_unitary(g: np.ndarray) -> np.ndarray:
     """Unitary polar factor of a square matrix (maximizes Re tr(G^H X))."""
     u, _, vh = np.linalg.svd(g)
@@ -71,11 +57,3 @@ def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest singular value with its left and right singular vectors."""
     u, s, vh = np.linalg.svd(m)
     return float(s[0]), u[:, 0], vh[0, :].conj()
-
-
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices (left to right)."""
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out

@@ -18,13 +18,12 @@ completely positive generators used by the coordinate walks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bialgebra import CounitalBialgebra
 from .linalg import as_complex_array, dag, opnorm, opnorms, readonly
-from .serialize import FormatError, decode_complex_array, encode_complex_array
 
 __all__ = [
     "HatSpace",
@@ -43,8 +42,6 @@ __all__ = [
     "scaling_matrix",
     "scaling_conjugation",
     "generator_gap",
-    "operator_map_to_payload",
-    "operator_map_from_payload",
 ]
 
 
@@ -203,20 +200,11 @@ class ImplementingTriple:
         Raises on product/star/isometry failures; unitality is reported
         but not enforced (non-unital pi is legal and makes phi(1) != 0).
         """
-        b = self.source
+        product, star = self.source.homomorphism_defects(self.pi)
         res = {
-            "pi_product": float(
-                np.max(
-                    np.abs(
-                        np.einsum("iab,jbc->ijac", self.pi, self.pi)
-                        - np.einsum("ijk,kac->ijac", b.mult, self.pi)
-                    )
-                )
-            ),
-            "pi_star": float(
-                np.max(np.abs(dag(self.pi) - np.einsum("ij,jab->iab", b.invol, self.pi)))
-            ),
-            "pi_unital": float(np.max(np.abs(self.pi_apply(b.unit) - np.eye(self.rep_dim)))),
+            "pi_product": float(np.max(np.abs(product))),
+            "pi_star": float(np.max(np.abs(star))),
+            "pi_unital": float(np.max(np.abs(self.pi_apply(self.source.unit) - np.eye(self.rep_dim)))),
         }
         if self.D is not None:
             res["isometry"] = float(
@@ -226,9 +214,6 @@ class ImplementingTriple:
             if res.get(key, 0.0) > tol:
                 raise ValueError(f"triple is invalid: {key} residual {res[key]:.3e} > {tol:g}")
         return res
-
-    def is_unital(self, tol: float = 1e-12) -> bool:
-        return float(np.max(np.abs(self.pi_apply(self.source.unit) - np.eye(self.rep_dim)))) <= tol
 
 
 def structure_map_from_pair(triple: ImplementingTriple, chi) -> OperatorMap:
@@ -448,22 +433,3 @@ def generator_gap(phi: OperatorMap, psi: OperatorMap, chi, h: float) -> float:
     chi_map = OperatorMap.scalar_identity(psi.source, chi, psi.dim)
     theta = phi - scaling_conjugation(psi - chi_map, h)
     return amplified_norm(theta)
-
-
-def operator_map_to_payload(phi: OperatorMap) -> dict:
-    return {
-        "format": "operator-map-v1",
-        "dim": phi.source.dim,
-        "target_dim": phi.dim,
-        "matrices": encode_complex_array(phi.mats),
-    }
-
-
-def operator_map_from_payload(payload: dict, source: CounitalBialgebra) -> OperatorMap:
-    if payload.get("format") != "operator-map-v1":
-        raise FormatError(f"unsupported operator-map format {payload.get('format')!r}")
-    try:
-        mats = decode_complex_array(payload["matrices"])
-    except KeyError as exc:
-        raise FormatError("missing operator-map field 'matrices'") from exc
-    return OperatorMap(source, mats)

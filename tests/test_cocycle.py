@@ -3,6 +3,7 @@ import pytest
 
 from qwalklab import (
     CocycleEvaluator,
+    ExperimentConfig,
     GeneratorMismatch,
     ImplementingTriple,
     StepFunction,
@@ -12,6 +13,7 @@ from qwalklab import (
     cross_validate_against_walk,
     structure_map_from_pair,
 )
+from qwalklab.experiment import _demo_payload
 
 
 @pytest.fixture()
@@ -148,6 +150,23 @@ def test_walk_error_is_first_order(group_z2, z2_sign_triple, z2_phi):
     errs = np.array([r.error for r in rows])
     slope = np.polyfit(np.log([r.h for r in rows]), np.log(errs), 1)[0]
     assert 0.8 < slope < 1.2
+
+
+@pytest.mark.parametrize("name", ["c-z2", "group-z2", "group-s3"])
+def test_walk_error_stays_first_order_at_depth(tmp_path, name):
+    # h = 2^-20 puts about a million cells in each unit of time; the largest
+    # error over pairs, times and probes must still shrink in proportion to h
+    config = ExperimentConfig.from_payload(_demo_payload(name), tmp_path)
+    phi = config.generator()
+    worst = np.zeros(2)
+    for f, g in config.pairs:
+        for t in config.sample_times:
+            for probe in config.probes:
+                rows = cross_validate_against_walk(
+                    phi, config.triple, probe, f, g, t, [2**-11, 2**-20], chi=config.chi
+                )
+                worst = np.maximum(worst, [r.error for r in rows])
+    assert worst[1] == pytest.approx(2**-9 * worst[0], rel=0.05)
 
 
 def test_richardson_extrapolation_is_second_order(group_z2, z2_sign_triple, z2_phi):

@@ -17,6 +17,7 @@ from qwalklab import (
 )
 
 from .oracles import toy_element
+from .test_structure_maps import two_character_triple
 
 
 def two_piece(noise_dim=1):
@@ -134,17 +135,29 @@ def test_toy_element_matches_kron_oracle():
     assert abs(got - expected) < 1e-13
 
 
-def test_walk_element_matches_materialized_route(group_z2, z2_sign_triple):
-    psi = build_walk(z2_sign_triple, group_z2.counit, 0.25)
-    f = two_piece()
-    g = StepFunction.constant([0.8 + 0.2j], 1.0)
+def test_walk_element_matches_materialized_route(group_z2, z2_sign_triple, c_s3):
+    # C(S3) is not cocommutative, so its case also fixes the order in which
+    # the pieces of the step functions are joined
+    s3_f = StepFunction.from_segments([(0.5, [1.0, 0.2j]), (0.25, [0.6 - 0.3j, -0.1]), (0.25, [-0.4j, 0.7])])
+    s3_probes = (c_s3.unit, *np.eye(6), np.linspace(-1.0, 1.0, 6) + 0.3j)
+    cases = (
+        (
+            z2_sign_triple,
+            two_piece(),
+            StepFunction.constant([0.8 + 0.2j], 1.0),
+            (group_z2.unit, np.array([0.3, -0.7 + 0.2j])),
+        ),
+        (two_character_triple(c_s3, 1, 3, [0.5j, -0.6]), s3_f, two_piece(noise_dim=2), s3_probes),
+    )
     grid = GridSpec(h=0.25, n=4)
-    iterates = convolution_iterates(psi, 4)
-    for coeffs in (group_z2.unit, np.array([0.3, -0.7 + 0.2j])):
-        a = np.einsum("i,iab->ab", coeffs, iterates.mats)
-        direct = toy_matrix_element(a, f, g, grid)
-        factored = walk_matrix_element(psi, coeffs, f, g, 1.0, 0.25)
-        assert abs(direct - factored) < 1e-12
+    for triple, f, g, probes in cases:
+        psi = build_walk(triple, triple.source.counit, 0.25)
+        iterates = convolution_iterates(psi, 4)
+        for coeffs in probes:
+            a = np.einsum("i,iab->ab", coeffs, iterates.mats)
+            direct = toy_matrix_element(a, f, g, grid)
+            factored = walk_matrix_element(psi, coeffs, f, g, 1.0, 0.25)
+            assert abs(direct - factored) < 1e-12
 
 
 def test_walk_element_accepts_basis_index(group_z2, z2_sign_triple):
