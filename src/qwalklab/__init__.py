@@ -54,7 +54,6 @@ from .structure_maps import (
     ImplementingTriple,
     NotStructureMapError,
     OperatorMap,
-    cp_generator_from_triple,
     extract_implementing_pair,
     generator_gap,
     structure_map_from_pair,
@@ -66,8 +65,6 @@ from .walk import (
     WalkStep,
     build_unitary,
     build_walk,
-    build_walk_cp,
-    build_walk_rep,
     error_terms,
     verify_error_identity,
     vector_state_check,
@@ -124,7 +121,6 @@ __all__ = [
     "ImplementingTriple",
     "NotStructureMapError",
     "OperatorMap",
-    "cp_generator_from_triple",
     "extract_implementing_pair",
     "generator_gap",
     "structure_map_from_pair",
@@ -134,8 +130,6 @@ __all__ = [
     "WalkStep",
     "build_unitary",
     "build_walk",
-    "build_walk_cp",
-    "build_walk_rep",
     "error_terms",
     "verify_error_identity",
     "vector_state_check",

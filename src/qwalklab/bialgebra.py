@@ -205,14 +205,14 @@ def verify_bialgebra(b: CounitalBialgebra, tol: float = 1e-12) -> BialgebraRepor
         "involution",
         np.conjugate(s) @ s - eye,
         np.einsum("ijk,kr->ijr", np.conjugate(m), s)
-        - np.einsum("jk,il,klr->ijr", s, s, m),
+        - np.einsum("jk,il,klr->ijr", s, s, m, optimize=True),
     )
     record(
         "coproduct_homomorphism",
         np.einsum("ijk,kab->ijab", m, c)
-        - np.einsum("ipq,jrs,prt,qsu->ijtu", c, c, m, m),
+        - np.einsum("ipq,jrs,prt,qsu->ijtu", c, c, m, m, optimize=True),
         np.einsum("ij,jab->iab", s, c)
-        - np.einsum("iab,ap,bq->ipq", np.conjugate(c), s, s),
+        - np.einsum("iab,ap,bq->ipq", np.conjugate(c), s, s, optimize=True),
         np.einsum("i,iab->ab", u, c) - np.outer(u, u),
     )
     record(

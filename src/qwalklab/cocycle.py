@@ -26,12 +26,7 @@ import numpy as np
 from .convolution import ConvolutionSemigroup, convolve_functionals
 from .fock import GridSpec, StepFunction, _as_coeffs, _pieces, walk_matrix_element
 from .linalg import as_complex_array
-from .structure_maps import (
-    ImplementingTriple,
-    OperatorMap,
-    cp_generator_from_triple,
-    structure_map_from_pair,
-)
+from .structure_maps import ImplementingTriple, OperatorMap, structure_map_from_pair
 from .walk import build_walk
 
 __all__ = [
@@ -127,12 +122,7 @@ def cross_validate_against_walk(
     triple (so walks and limit provably belong to the same object).
     """
     chi = phi.source.counit if chi is None else as_complex_array(chi)
-    rebuilt = (
-        structure_map_from_pair(triple, chi)
-        if triple.D is None
-        else cp_generator_from_triple(triple, chi)
-    )
-    mismatch = rebuilt.distance(phi)
+    mismatch = structure_map_from_pair(triple, chi).distance(phi)
     if mismatch > generator_tol:
         raise GeneratorMismatch(
             f"generator rebuilt from the triple differs from phi by {mismatch:.3e} "

@@ -8,6 +8,7 @@ and matrix-element errors against the cocycle limit.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,10 +44,9 @@ from .serialize import FormatError, decode_complex_array, encode_complex_array, 
 from .structure_maps import (
     ImplementingTriple,
     cp_block_matrix,
-    cp_generator_from_triple,
     default_decomposition_vector,
     extract_implementing_pair,
-    scaling_conjugation,
+    gap_map,
     structure_map_from_pair,
     verify_cp_decomposition,
     verify_structure_relation,
@@ -87,6 +87,64 @@ DEFAULT_TOLERANCES = {
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _read(section: dict, key: str, convert, default=None):
+    """convert(section[key]), or of default when absent; a bad value is a ConfigError naming key."""
+    try:
+        return convert(section.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key!r}: {exc}") from exc
+
+
+def _number(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _numbers(value) -> tuple[float, ...]:
+    return tuple(_number(v) for v in _list(value))
+
+
+def _finite_array(node) -> np.ndarray:
+    arr = decode_complex_array(node)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("entries must be finite")
+    return arr
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
+def _ladder(sweep) -> tuple[float, ...]:
+    """The geometric h ladder h0 ratio^k for k < count."""
+    sweep = _object(sweep)
+    h0 = _number(sweep.get("h0", 0.25))
+    ratio = _number(sweep.get("ratio", 0.5))
+    count = int(sweep.get("count", 6))
+    if not (h0 > 0 and 0 < ratio < 1 and count >= 1):
+        raise ValueError("sweep requires h0 > 0, 0 < ratio < 1, count >= 1")
+    return tuple(h0 * ratio**k for k in range(count))
+
+
+def _tolerances(overrides) -> dict[str, float]:
+    tol = dict(DEFAULT_TOLERANCES)
+    for key, val in _object(overrides).items():
+        if key not in tol:
+            raise ValueError(f"unknown tolerance key {key!r}")
+        tol[key] = _number(val)
+    return tol
 
 
 def _resolve_group(name_or_file, base_dir: Path) -> FiniteGroup:
@@ -142,27 +200,27 @@ def resolve_character(b: CounitalBialgebra, choice) -> np.ndarray:
     raise ConfigError(f"character must be 'counit' or an index, got {choice!r}")
 
 
+def _pi_matrices(b: CounitalBialgebra, spec) -> np.ndarray:
+    if spec == "regular":
+        return b.rep
+    if isinstance(spec, str) and spec.startswith("character:"):
+        idx = int(spec.split(":", 1)[1])
+        if not 0 <= idx < b.characters.shape[0]:
+            raise ValueError(f"pi character index {idx} outside 0..{b.characters.shape[0] - 1}")
+        return b.characters[idx].reshape(-1, 1, 1)
+    if isinstance(spec, dict) and "matrices" in spec:
+        return _finite_array(spec["matrices"])
+    raise ValueError(f"triple 'pi' must be 'regular', 'character:<k>' or matrices, got {spec!r}")
+
+
 def resolve_triple(b: CounitalBialgebra, section) -> ImplementingTriple:
     if not isinstance(section, dict):
         raise ConfigError("'triple' must be an object")
-    pi_spec = section.get("pi", "regular")
-    if pi_spec == "regular":
-        pi = b.rep
-    elif isinstance(pi_spec, str) and pi_spec.startswith("character:"):
-        idx = int(pi_spec.split(":", 1)[1])
-        if not 0 <= idx < b.characters.shape[0]:
-            raise ConfigError(f"pi character index {idx} outside 0..{b.characters.shape[0] - 1}")
-        pi = b.characters[idx].reshape(-1, 1, 1)
-    elif isinstance(pi_spec, dict) and "matrices" in pi_spec:
-        pi = decode_complex_array(pi_spec["matrices"])
-    else:
-        raise ConfigError(f"triple 'pi' must be 'regular', 'character:<k>' or matrices, got {pi_spec!r}")
+    pi = _read(section, "pi", lambda spec: _pi_matrices(b, spec), "regular")
     if "xi" not in section:
         raise ConfigError("triple is missing 'xi'")
-    xi = decode_complex_array(section["xi"])
-    d_mat = None
-    if section.get("D") is not None:
-        d_mat = decode_complex_array(section["D"])
+    xi = _read(section, "xi", _finite_array)
+    d_mat = _read(section, "D", lambda node: None if node is None else _finite_array(node))
     try:
         triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=xi, D=d_mat)
         triple.validate(tol=1e-10)
@@ -199,19 +257,10 @@ class ExperimentConfig:
         chi = resolve_character(b, payload.get("character", "counit"))
         triple = resolve_triple(b, payload.get("triple"))
         noise_dim = triple.noise_dim
-        declared = payload.get("noise_dim")
-        if declared is not None and int(declared) != noise_dim:
+        declared = _read(payload, "noise_dim", lambda v: None if v is None else int(v))
+        if declared is not None and declared != noise_dim:
             raise ConfigError(f"declared noise_dim {declared} != triple noise dimension {noise_dim}")
-        sweep = payload.get("sweep") or {}
-        try:
-            h0 = float(sweep.get("h0", 0.25))
-            ratio = float(sweep.get("ratio", 0.5))
-            count = int(sweep.get("count", 6))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sweep section: {exc}") from exc
-        if not (h0 > 0 and 0 < ratio < 1 and count >= 1):
-            raise ConfigError("sweep requires h0 > 0, 0 < ratio < 1, count >= 1")
-        h_values = tuple(h0 * ratio**k for k in range(count))
+        h_values = _read(payload, "sweep", lambda v: _ladder(v or {}))
         xi_norm_sq = float(np.real(np.vdot(triple.xi, triple.xi)))
         for h in h_values:
             if h * xi_norm_sq > 1.0:
@@ -220,14 +269,12 @@ class ExperimentConfig:
                     "unitary requires h * ||xi||^2 <= 1 for every swept step length"
                 )
         pairs = []
-        for k, pair in enumerate(payload.get("step_function_pairs") or []):
+        for k, pair in enumerate(_read(payload, "step_function_pairs", lambda v: _list(v or []))):
             try:
                 f = step_function_from_payload(pair["f"])
                 g = step_function_from_payload(pair["g"])
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"step-function pair {k} is malformed: {exc}") from exc
-            except FormatError as exc:
-                raise ConfigError(f"step-function pair {k}: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid 'step_function_pairs': pair {k} is malformed: {exc}") from exc
             if f.noise_dim != noise_dim or g.noise_dim != noise_dim:
                 raise ConfigError(
                     f"step-function pair {k} has noise dimension {f.noise_dim}/{g.noise_dim}, "
@@ -236,30 +283,26 @@ class ExperimentConfig:
             pairs.append((f, g))
         if not pairs:
             raise ConfigError("at least one step-function pair is required")
-        horizon = float(payload.get("time_horizon", 1.0))
-        times = tuple(float(t) for t in payload.get("sample_times") or [horizon])
+        horizon = _read(payload, "time_horizon", _number, 1.0)
+        times = _read(payload, "sample_times", lambda v: _numbers(v or [horizon]))
         if any(t < 0 or t > horizon + 1e-9 for t in times):
             raise ConfigError("sample times must lie in [0, time_horizon]")
-        probes_spec = payload.get("probes", "all")
-        if probes_spec == "all":
-            probes = tuple(range(b.dim))
-        else:
-            probes = tuple(int(i) for i in probes_spec)
-            if any(not 0 <= i < b.dim for i in probes):
-                raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")
-        depth = int(payload.get("compatibility_depth", 3))
-        cap = int(payload.get("dimension_cap", DEFAULT_DIMENSION_CAP))
+        probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(int, _list(v))), "all")
+        if any(not 0 <= i < b.dim for i in probes):
+            raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")
+        depth = _read(payload, "compatibility_depth", int, 3)
+        if depth < 0:
+            raise ConfigError(f"invalid 'compatibility_depth': {depth} is negative")
+        cap = _read(payload, "dimension_cap", int, DEFAULT_DIMENSION_CAP)
         if (noise_dim + 1) ** depth > cap:
             raise ConfigError(
                 f"compatibility depth {depth} would materialize dimension "
                 f"{(noise_dim + 1) ** depth} > cap {cap}"
             )
-        tol = dict(DEFAULT_TOLERANCES)
-        for key, val in (payload.get("tolerances") or {}).items():
-            if key not in tol:
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            tol[key] = float(val)
-        identity_h = tuple(float(h) for h in payload.get("identity_h") or (0.5, 0.1, 0.01))
+        tol = _read(payload, "tolerances", lambda v: _tolerances(v or {}))
+        identity_h = _read(payload, "identity_h", lambda v: _numbers(v or (0.5, 0.1, 0.01)))
+        if any(h <= 0 for h in identity_h):
+            raise ConfigError(f"invalid 'identity_h': step lengths must be positive, got {list(identity_h)}")
         return cls(
             bialgebra=b,
             chi=chi,
@@ -272,7 +315,7 @@ class ExperimentConfig:
             compatibility_depth=depth,
             dimension_cap=cap,
             tolerances=tol,
-            final_error_bound=float(payload.get("final_error_bound", 1e-2)),
+            final_error_bound=_read(payload, "final_error_bound", _number, 1e-2),
             time_horizon=horizon,
             label=str(payload.get("label", "experiment")),
         )
@@ -294,9 +337,7 @@ class ExperimentConfig:
         return tuple(out)
 
     def generator(self) -> OperatorMap:
-        if self.triple.D is None:
-            return structure_map_from_pair(self.triple, self.chi)
-        return cp_generator_from_triple(self.triple, self.chi)
+        return structure_map_from_pair(self.triple, self.chi)
 
 
 @dataclass
@@ -340,6 +381,8 @@ def run_verify(config: ExperimentConfig) -> RunResult:
         kernel_dim=extraction.kernel_dim,
     )
 
+    # without D the walk is a *-homomorphism; with an isometry it is CP
+    homomorphic = triple.D is None
     unitarity = 0.0
     identity_res = 0.0
     vector_res = 0.0
@@ -353,20 +396,21 @@ def run_verify(config: ExperimentConfig) -> RunResult:
             opnorm(u @ u.conj().T - eye),
         )
         identity_res = max(identity_res, verify_error_identity(triple, chi, h))
-        if triple.D is None:
+        if homomorphic:
             vector_res = max(vector_res, max(vector_state_check(triple, chi, h)))
     _check(report, "unitarity", unitarity, tol["unitarity"])
     _check(report, "error_identity", identity_res, tol["error_identity"])
-    if triple.D is None:
+    if homomorphic:
         _check(report, "vector_state", vector_res, tol["vector_state"])
 
     h0 = config.h_values[0]
     psi = build_walk(triple, chi, h0)
-    if triple.D is None:
+    if homomorphic:
         hom = max(float(np.max(np.abs(defect))) for defect in b.homomorphism_defects(psi.mats))
         _check(report, "walk_homomorphism", hom, tol["homomorphism"])
     else:
-        choi_min = float(np.linalg.eigvalsh((cp_block_matrix(psi) + cp_block_matrix(psi).conj().T) / 2)[0])
+        choi = cp_block_matrix(psi)
+        choi_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
         _check(report, "walk_choi_positive", max(0.0, -choi_min), tol["choi"], min_eig=choi_min)
         _check(
             report,
@@ -415,9 +459,8 @@ def _probe_label(pair_idx: int, t: float, probe: int) -> str:
 
 
 def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, complex], h: float) -> dict:
-    b, chi, triple = config.bialgebra, config.chi, config.triple
-    psi = build_walk(triple, chi, h)
-    gap = amplified_norm(phi - scaling_conjugation(psi - OperatorMap.scalar_identity(b, chi, psi.dim), h))
+    psi = build_walk(config.triple, config.chi, h)
+    gap = amplified_norm(gap_map(phi, psi, config.chi, h))
     errors = {}
     for k, (f, g) in enumerate(config.pairs):
         for t in config.sample_times:

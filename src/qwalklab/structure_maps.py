@@ -13,8 +13,10 @@ block forms
     phi(a) = [[gamma(a), <xi| nu(a)], [nu(a) |xi>, nu(a)]]
 
 for a unital *-representation pi, nu = pi - chi(.)I and
-gamma = <xi, nu(.) xi>; compressing with an isometry D gives the
-completely positive generators used by the coordinate walks.
+gamma = <xi, nu(.) xi>.  That block form is V* nu(.) V with V = [|xi>, I];
+replacing I by an isometry D gives the completely positive generators
+V* nu(.) V, V = [|xi>, D], of the compressed walks.  A triple without D is
+the case D = I, and one builder serves both.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ __all__ = [
     "structure_map_from_pair",
     "verify_structure_relation",
     "extract_implementing_pair",
-    "cp_generator_from_triple",
     "default_decomposition_vector",
     "verify_cp_decomposition",
     "cp_block_matrix",
@@ -106,17 +107,8 @@ class OperatorMap:
             raise ValueError(f"coefficients have shape {coeffs.shape}, expected ({self.source.dim},)")
         return np.einsum("i,iab->ab", coeffs, self.mats)
 
-    def at_basis(self, i: int) -> np.ndarray:
-        return self.mats[i]
-
     def at_unit(self) -> np.ndarray:
         return self(self.source.unit)
-
-    def max_norm(self) -> float:
-        return float(np.max(opnorms(self.mats)))
-
-    def isclose(self, other: "OperatorMap", tol: float = 1e-12) -> bool:
-        return self.distance(other) <= tol
 
     def distance(self, other: "OperatorMap") -> float:
         if self.mats.shape != other.mats.shape:
@@ -152,7 +144,8 @@ class ImplementingTriple:
     """(pi, xi, D): representation, reference vector, optional isometry.
 
     pi acts on C^p, xi lives there, and D, when present, is a p x d
-    isometry selecting the retained noise directions.
+    isometry selecting the retained noise directions.  An absent D means
+    D = I: every noise direction is kept.
     """
 
     source: CounitalBialgebra
@@ -182,8 +175,13 @@ class ImplementingTriple:
         return self.pi.shape[1]
 
     @property
+    def isometry(self) -> np.ndarray:
+        """D, or the p x p identity when D is absent."""
+        return np.eye(self.rep_dim, dtype=complex) if self.D is None else self.D
+
+    @property
     def noise_dim(self) -> int:
-        return self.rep_dim if self.D is None else self.D.shape[1]
+        return self.isometry.shape[1]
 
     def pi_apply(self, coeffs) -> np.ndarray:
         return np.einsum("i,iab->ab", as_complex_array(coeffs), self.pi)
@@ -205,34 +203,23 @@ class ImplementingTriple:
             "pi_product": float(np.max(np.abs(product))),
             "pi_star": float(np.max(np.abs(star))),
             "pi_unital": float(np.max(np.abs(self.pi_apply(self.source.unit) - np.eye(self.rep_dim)))),
+            "isometry": float(np.max(np.abs(dag(self.isometry) @ self.isometry - np.eye(self.noise_dim)))),
         }
-        if self.D is not None:
-            res["isometry"] = float(
-                np.max(np.abs(dag(self.D) @ self.D - np.eye(self.D.shape[1])))
-            )
         for key in ("pi_product", "pi_star", "isometry"):
-            if res.get(key, 0.0) > tol:
+            if not res[key] <= tol:  # also rejects NaN
                 raise ValueError(f"triple is invalid: {key} residual {res[key]:.3e} > {tol:g}")
         return res
 
 
 def structure_map_from_pair(triple: ImplementingTriple, chi) -> OperatorMap:
-    """Assemble the block-form structure map of (pi, xi) for the character chi.
+    """The generator V* nu(.) V with V = [|xi>, D] on the (d+1)-hat space.
 
-    The triple's D must be absent (or the identity); use
-    cp_generator_from_triple for genuine compressions.
+    With D absent (D = I) this is the block-form structure map
+    [[gamma, <xi| nu], [nu |xi>, nu]]; a proper isometry D compresses it
+    to the completely positive generator of the corresponding walk.
     """
-    if triple.D is not None and not np.array_equal(triple.D, np.eye(triple.rep_dim)):
-        raise ValueError("structure_map_from_pair requires D absent or the identity")
-    nu = triple.nu_mats(chi)
-    xi = triple.xi
-    n, p = nu.shape[0], triple.rep_dim
-    mats = np.zeros((n, p + 1, p + 1), dtype=complex)
-    mats[:, 0, 0] = np.einsum("a,iab,b->i", np.conjugate(xi), nu, xi)
-    mats[:, 1:, 0] = nu @ xi
-    mats[:, 0, 1:] = np.einsum("b,iba->ia", np.conjugate(xi), nu)
-    mats[:, 1:, 1:] = nu
-    return OperatorMap(triple.source, mats)
+    v = np.concatenate([triple.xi[:, None], triple.isometry], axis=1)
+    return OperatorMap(triple.source, np.einsum("ac,icd,db->iab", dag(v), triple.nu_mats(chi), v))
 
 
 def verify_structure_relation(phi: OperatorMap, chi) -> float:
@@ -309,15 +296,6 @@ def extract_implementing_pair(phi: OperatorMap, chi, tol: float = 1e-10) -> Extr
     )
 
 
-def cp_generator_from_triple(triple: ImplementingTriple, chi) -> OperatorMap:
-    """Compressed generator [<xi|; D*] nu(.) [|xi>, D] on the (d+1)-hat space."""
-    if triple.D is None:
-        raise ValueError("cp_generator_from_triple requires an isometry D")
-    nu = triple.nu_mats(chi)
-    v = np.concatenate([triple.xi[:, None], triple.D], axis=1)
-    return OperatorMap(triple.source, np.einsum("ac,icd,db->iab", dag(v), nu, v))
-
-
 def default_decomposition_vector(triple: ImplementingTriple) -> np.ndarray:
     """Candidate zeta = (||xi||^2 / 2, D* xi) solving the rank-one completion.
 
@@ -325,9 +303,8 @@ def default_decomposition_vector(triple: ImplementingTriple) -> np.ndarray:
     the compression V* pi(.) V with V = [|xi>, D], which is manifestly
     completely positive.
     """
-    d_mat = triple.D if triple.D is not None else np.eye(triple.rep_dim, dtype=complex)
     xi = triple.xi
-    return np.concatenate([[0.5 * np.vdot(xi, xi)], dag(d_mat) @ xi])
+    return np.concatenate([[0.5 * np.vdot(xi, xi)], dag(triple.isometry) @ xi])
 
 
 @dataclass(frozen=True)
@@ -408,28 +385,28 @@ def scaling_matrix(h: float, dim: int) -> np.ndarray:
     return d
 
 
-def scaling_conjugation(x, h: float):
-    """X -> D_h X D_h, elementwise over an OperatorMap or a single matrix.
+def scaling_conjugation(x: OperatorMap, h: float) -> OperatorMap:
+    """X -> D_h X D_h, elementwise over an OperatorMap.
 
     Multiplicative in h: conjugating by h1 then h2 equals conjugating by
     h1 h2.
     """
-    if isinstance(x, OperatorMap):
-        d = scaling_matrix(h, x.dim)
-        return OperatorMap(x.source, np.einsum("ab,ibc,cd->iad", d, x.mats, d))
-    x = as_complex_array(x)
-    d = scaling_matrix(h, x.shape[-1])
-    return d @ x @ d
+    d = scaling_matrix(h, x.dim)
+    return OperatorMap(x.source, np.einsum("ab,ibc,cd->iad", d, x.mats, d))
+
+
+def gap_map(phi: OperatorMap, psi: OperatorMap, chi, h: float) -> OperatorMap:
+    """theta_h = phi - D_h (psi - chi(.)I) D_h for a walk step psi of length h.
+
+    The finite-h generator mismatch whose O(h) decay is the quantitative
+    content of the walk approximation.
+    """
+    chi_map = OperatorMap.scalar_identity(psi.source, chi, psi.dim)
+    return phi - scaling_conjugation(psi - chi_map, h)
 
 
 def generator_gap(phi: OperatorMap, psi: OperatorMap, chi, h: float) -> float:
-    """Surrogate cb-norm of phi - D_h (psi - chi(.)I) D_h.
-
-    This is the finite-h generator mismatch whose O(h) decay is the
-    quantitative content of the walk approximation.
-    """
+    """Surrogate cb-norm of the gap map phi - D_h (psi - chi(.)I) D_h."""
     from .cbnorm import amplified_norm
 
-    chi_map = OperatorMap.scalar_identity(psi.source, chi, psi.dim)
-    theta = phi - scaling_conjugation(psi - chi_map, h)
-    return amplified_norm(theta)
+    return amplified_norm(gap_map(phi, psi, chi, h))

@@ -7,10 +7,11 @@ the rotation-like unitary
 
 on the hat space of the representation space, where c_h = sqrt(1 -
 h||xi||^2), s_h = h^{1/2} |xi>, and Q projects onto the line through xi.
-Conjugating chi (+) pi by U gives the homomorphic walk step; inserting
-an isometry D gives the completely positive, preunital variant.  The
-deviation of the inverse-scaled step from the structure-map generator is
-given exactly by
+Compressing chi (+) pi by V = U diag(1, D) gives the completely positive,
+preunital walk step V* (chi (+) pi) V; the homomorphic walk step
+U* (chi (+) pi) U is the case D = I, which is what a triple without D
+means.  The deviation of the inverse-scaled step from the structure-map
+generator is given exactly by
 
     phi - D_h (psi^(h) - chi(.)I) D_h
         = h/(1+c_h) phi_1 - h^2/(1+c_h)^2 phi_2,
@@ -24,20 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_complex_array, readonly
-from .structure_maps import (
-    ImplementingTriple,
-    OperatorMap,
-    cp_generator_from_triple,
-    scaling_conjugation,
-    structure_map_from_pair,
-)
+from .structure_maps import ImplementingTriple, OperatorMap, gap_map, structure_map_from_pair
 
 __all__ = [
     "StepSizeError",
     "WalkStep",
     "build_unitary",
-    "build_walk_rep",
-    "build_walk_cp",
     "build_walk",
     "error_terms",
     "verify_error_identity",
@@ -98,33 +91,27 @@ def _char_oplus_pi(triple: ImplementingTriple, chi) -> np.ndarray:
     return block
 
 
-def build_walk_rep(triple: ImplementingTriple, chi, h: float) -> OperatorMap:
-    """Homomorphic walk step b -> U* (chi(b) (+) pi(b)) U; requires D absent."""
-    if triple.D is not None:
-        raise ValueError("build_walk_rep is the D-absent case; use build_walk_cp")
-    step = build_unitary(triple.xi, h)
-    u = step.unitary
-    return OperatorMap(triple.source, np.einsum("ba,ibc,cd->iad", np.conjugate(u), _char_oplus_pi(triple, chi), u))
-
-
-def build_walk_cp(triple: ImplementingTriple, chi, h: float) -> OperatorMap:
-    """CP preunital walk step b -> V* (chi(b) (+) pi(b)) V with V = U diag(1, D)."""
-    if triple.D is None:
-        raise ValueError("build_walk_cp requires an isometry D; use build_walk_rep")
-    step = build_unitary(triple.xi, h)
-    p, d = triple.D.shape
+def _embedding(triple: ImplementingTriple) -> np.ndarray:
+    """diag(1, D): the hat space of the noise into that of the representation."""
+    d_mat = triple.isometry
+    p, d = d_mat.shape
     embed = np.zeros((p + 1, d + 1), dtype=complex)
     embed[0, 0] = 1.0
-    embed[1:, 1:] = triple.D
-    v = step.unitary @ embed
-    return OperatorMap(
-        triple.source, np.einsum("ca,icd,db->iab", np.conjugate(v), _char_oplus_pi(triple, chi), v)
-    )
+    embed[1:, 1:] = d_mat
+    return embed
 
 
 def build_walk(triple: ImplementingTriple, chi, h: float) -> OperatorMap:
-    """Dispatch on the presence of D."""
-    return build_walk_rep(triple, chi, h) if triple.D is None else build_walk_cp(triple, chi, h)
+    """Walk step b -> V* (chi(b) (+) pi(b)) V with V = U diag(1, D).
+
+    With D absent (D = I) this is the unital *-homomorphism
+    U* (chi (+) pi) U; a proper isometry makes it completely positive
+    and preunital on the (d+1)-hat space.
+    """
+    v = build_unitary(triple.xi, h).unitary @ _embedding(triple)
+    return OperatorMap(
+        triple.source, np.einsum("ca,icd,db->iab", np.conjugate(v), _char_oplus_pi(triple, chi), v)
+    )
 
 
 def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorMap]:
@@ -135,7 +122,7 @@ def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorM
         phi_1 = [[0, gamma <xi|], [gamma |xi>, X nu + nu X]],
         phi_2 = gamma(.) diag(0, X).
 
-    Isometry case: both terms are compressed by C = diag(1, D), giving
+    With an isometry D both terms are compressed by C = diag(1, D), giving
     eta = D* xi, Y = |xi><eta|, phi_1 = [[0, gamma <eta|], [gamma |eta>,
     Y* nu D + D* nu Y]] and phi_2 = gamma(.) diag(0, eta eta*).
     """
@@ -150,12 +137,7 @@ def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorM
     phi1[:, 1:, 1:] = np.einsum("ab,ibc->iac", x, nu) + np.einsum("iab,bc->iac", nu, x)
     phi2 = np.zeros((n, p + 1, p + 1), dtype=complex)
     phi2[:, 1:, 1:] = gamma[:, None, None] * x[None, :, :]
-    if triple.D is None:
-        return OperatorMap(triple.source, phi1), OperatorMap(triple.source, phi2)
-    d = triple.D.shape[1]
-    embed = np.zeros((p + 1, d + 1), dtype=complex)
-    embed[0, 0] = 1.0
-    embed[1:, 1:] = triple.D
+    embed = _embedding(triple)
     compress = lambda m: np.einsum("ca,icd,db->iab", np.conjugate(embed), m, embed)
     return (
         OperatorMap(triple.source, compress(phi1)),
@@ -165,14 +147,7 @@ def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorM
 
 def verify_error_identity(triple: ImplementingTriple, chi, h: float) -> float:
     """Residual of the exact expansion at step length h (max operator norm)."""
-    psi = build_walk(triple, chi, h)
-    phi = (
-        structure_map_from_pair(triple, chi)
-        if triple.D is None
-        else cp_generator_from_triple(triple, chi)
-    )
-    chi_map = OperatorMap.scalar_identity(psi.source, chi, psi.dim)
-    lhs = phi - scaling_conjugation(psi - chi_map, h)
+    lhs = gap_map(structure_map_from_pair(triple, chi), build_walk(triple, chi, h), chi, h)
     phi1, phi2 = error_terms(triple, chi)
     c_h = build_unitary(triple.xi, h).c_h
     rhs = (h / (1.0 + c_h)) * phi1 - (h / (1.0 + c_h)) ** 2 * phi2
@@ -189,7 +164,7 @@ def vector_state_check(triple: ImplementingTriple, chi, h: float) -> tuple[float
     if triple.D is not None:
         raise ValueError("vector_state_check applies to the D-absent walk")
     step = build_unitary(triple.xi, h)
-    rho = build_walk_rep(triple, chi, h)
+    rho = build_walk(triple, chi, h)
     omega = step.unitary[:, 0]
     big = _char_oplus_pi(triple, chi)
     top_left = rho.mats[:, 0, 0]

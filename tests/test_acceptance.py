@@ -15,10 +15,8 @@ from qwalklab import (
     assoc_generator,
     build_unitary,
     build_walk,
-    build_walk_rep,
     check_compatibility,
     convolve_functionals,
-    cp_generator_from_triple,
     error_terms,
     extract_implementing_pair,
     load_bialgebra,
@@ -111,11 +109,7 @@ def test_criterion_4_generator_convergence(
     ok = True
     detail = []
     for b, triple in ((group_z2, z2_sign_triple), (group_s3, s3_cp_triple)):
-        phi = (
-            structure_map_from_pair(triple, b.counit)
-            if triple.D is None
-            else cp_generator_from_triple(triple, b.counit)
-        )
+        phi = structure_map_from_pair(triple, b.counit)
         phi1, phi2 = error_terms(triple, b.counit)
         n1, n2 = amplified_norm(phi1), amplified_norm(phi2)
         gaps = []
@@ -164,7 +158,7 @@ def test_criterion_6_semigroup_and_first_order(group_z2, z2_sign_triple):
     hs = [0.1 * 2**-k for k in range(4)]
     residuals = []
     for h in hs:
-        psi = build_walk_rep(z2_sign_triple, group_z2.counit, h)
+        psi = build_walk(z2_sign_triple, group_z2.counit, h)
         chat = np.concatenate([[1.0], np.sqrt(h) * c])
         dhat = np.concatenate([[1.0], np.sqrt(h) * d])
         lam_h = np.einsum("a,iab,b->i", np.conjugate(chat), psi.mats, dhat)

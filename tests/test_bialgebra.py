@@ -11,7 +11,7 @@ from qwalklab import (
     verify_bialgebra,
 )
 from qwalklab.bialgebra import bialgebra_from_payload, bialgebra_to_payload
-from qwalklab.groups import cyclic_group, symmetric_group
+from qwalklab.groups import cyclic_group, symmetric_group, symmetric_sign_character
 
 from .oracles import coassoc_residual, counit_residual
 
@@ -22,6 +22,22 @@ def test_all_builtin_bialgebras_pass(all_bialgebras):
     for b in all_bialgebras:
         report = verify_bialgebra(b)
         assert report.ok(AXIOM_TOL), (b.name, report.first_failure())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: build_group_algebra(g, extra_characters=[symmetric_sign_character(4)]),
+        build_function_algebra,
+    ],
+    ids=["group-s4", "function-s4"],
+)
+def test_s4_axiom_suite(build):
+    # n = 24, the largest symmetric group a config may name
+    b = build(symmetric_group(4))
+    report = verify_bialgebra(b)
+    assert b.dim == 24
+    assert report.max_residual <= AXIOM_TOL, report.first_failure()
 
 
 def test_residuals_match_loop_oracle(all_bialgebras):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,42 @@ def test_cli_oversized_step_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, config)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "h * ||xi||^2" in capsys.readouterr().err
+
+
+MALFORMED_FIELDS = [
+    ("pi", ("triple", "pi"), "character:x"),
+    ("sweep", ("sweep",), "abc"),
+    ("probes", ("probes",), ["x"]),
+    ("time_horizon", ("time_horizon",), "x"),
+    ("sample_times", ("sample_times",), "x"),
+    ("compatibility_depth", ("compatibility_depth",), "x"),
+    ("dimension_cap", ("dimension_cap",), "x"),
+    ("noise_dim", ("noise_dim",), "x"),
+    ("final_error_bound", ("final_error_bound",), "x"),
+    ("tolerances", ("tolerances",), [1]),
+    ("xi", ("triple", "xi"), [float("nan")]),
+    ("identity_h", ("identity_h",), [-0.1]),
+    ("compatibility_depth", ("compatibility_depth",), -1),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[-0.5, [1.0, 0.0]], [1.5, [0.6, -0.3]]]),
+]
+
+
+@pytest.mark.parametrize(
+    "field, path, value", MALFORMED_FIELDS, ids=[f"{case[0]}={case[2]!r}"[:40] for case in MALFORMED_FIELDS]
+)
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, field, path, value):
+    payload = copy.deepcopy(_demo_payload("group-z2"))
+    *parents, key = path
+    section = payload
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(field) in err
 
 
 def test_cli_missing_config_exits_two(tmp_path, capsys):

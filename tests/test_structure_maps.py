@@ -8,7 +8,6 @@ from qwalklab import (
     ImplementingTriple,
     NotStructureMapError,
     OperatorMap,
-    cp_generator_from_triple,
     extract_implementing_pair,
     structure_map_from_pair,
     verify_cp_decomposition,
@@ -140,8 +139,15 @@ def test_validate_rejects_non_representation(c_z2):
         triple.validate()
 
 
+def test_validate_rejects_non_finite_isometry(group_z2):
+    d_mat = np.array([[np.nan], [0.0]], dtype=complex)
+    triple = ImplementingTriple(source=group_z2, pi=group_z2.rep, xi=np.array([0.5, 0.1]), D=d_mat)
+    with pytest.raises(ValueError, match="isometry"):
+        triple.validate()
+
+
 def test_cp_generator_matches_loop_oracle(group_s3, s3_cp_triple):
-    phi = cp_generator_from_triple(s3_cp_triple, group_s3.counit)
+    phi = structure_map_from_pair(s3_cp_triple, group_s3.counit)
     expected = cp_generator_blocks(
         s3_cp_triple.pi, s3_cp_triple.xi, s3_cp_triple.D, group_s3.counit
     )
@@ -149,7 +155,7 @@ def test_cp_generator_matches_loop_oracle(group_s3, s3_cp_triple):
 
 
 def test_cp_decomposition_with_derived_zeta(group_s3, s3_cp_triple):
-    phi = cp_generator_from_triple(s3_cp_triple, group_s3.counit)
+    phi = structure_map_from_pair(s3_cp_triple, group_s3.counit)
     zeta = default_decomposition_vector(s3_cp_triple)
     report = verify_cp_decomposition(phi, group_s3.counit, zeta)
     assert report.phi1_is_cp

@@ -8,13 +8,12 @@ from qwalklab import (
     StepSizeError,
     build_unitary,
     build_walk,
-    build_walk_cp,
-    build_walk_rep,
+    structure_map_from_pair,
     verify_error_identity,
     vector_state_check,
 )
 
-from .oracles import walk_unitary
+from .oracles import cp_generator_blocks, structure_map_blocks, walk_unitary
 
 IDENTITY_TOL = 1e-11
 UNITARITY_TOL = 1e-13
@@ -79,7 +78,7 @@ def admissible_hs(xi):
 
 
 def test_rep_walk_is_unital_homomorphism(group_s3, s3_regular_triple):
-    rho = build_walk_rep(s3_regular_triple, group_s3.counit, 0.2)
+    rho = build_walk(s3_regular_triple, group_s3.counit, 0.2)
     assert np.max(np.abs(rho.at_unit() - np.eye(rho.dim))) < 1e-13
     prod_via_mult = np.einsum("ijk,kab->ijab", group_s3.mult, rho.mats)
     prod_direct = np.einsum("iab,jbc->ijac", rho.mats, rho.mats)
@@ -89,7 +88,7 @@ def test_rep_walk_is_unital_homomorphism(group_s3, s3_regular_triple):
 
 
 def test_cp_walk_is_preunital(group_s3, s3_cp_triple):
-    psi = build_walk_cp(s3_cp_triple, group_s3.counit, 0.15)
+    psi = build_walk(s3_cp_triple, group_s3.counit, 0.15)
     assert psi.dim == s3_cp_triple.noise_dim + 1
     assert np.max(np.abs(psi.at_unit() - np.eye(psi.dim))) < 1e-13
 
@@ -99,10 +98,66 @@ def test_build_walk_dispatches(group_s3, s3_regular_triple, s3_cp_triple):
     assert rho.dim == s3_regular_triple.rep_dim + 1
     psi = build_walk(s3_cp_triple, group_s3.counit, 0.1)
     assert psi.dim == s3_cp_triple.noise_dim + 1
-    with pytest.raises(ValueError):
-        build_walk_rep(s3_cp_triple, group_s3.counit, 0.1)
-    with pytest.raises(ValueError):
-        build_walk_cp(s3_regular_triple, group_s3.counit, 0.1)
+
+
+def rank_two_triple(c_s3):
+    """Regular representation of the non-cocommutative C(S3), compressed to two directions."""
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    xi = np.array([0.6, -0.3j, 0.2, 0.5, -0.1 + 0.4j, 0.3])
+    return ImplementingTriple(source=c_s3, pi=c_s3.rep, xi=xi, D=basis)
+
+
+def oracle_case(request, case):
+    """(triple, D as the oracles see it, whether the generator has block form)."""
+    if case == "absent":
+        triple = request.getfixturevalue("s3_regular_triple")
+        return triple, np.eye(triple.rep_dim), True
+    if case == "identity":
+        plain = request.getfixturevalue("s3_regular_triple")
+        triple = ImplementingTriple(source=plain.source, pi=plain.pi, xi=plain.xi, D=np.eye(plain.rep_dim))
+        return triple, triple.D, True
+    if case == "rank1":
+        triple = request.getfixturevalue("s3_cp_triple")
+        return triple, triple.D, False
+    triple = rank_two_triple(request.getfixturevalue("c_s3"))
+    return triple, triple.D, False
+
+
+@pytest.mark.parametrize("case", ["absent", "identity", "rank1", "rank2"])
+def test_unified_paths_match_loop_oracle(request, case):
+    triple, d_mat, block_form = oracle_case(request, case)
+    b = triple.source
+    chi = b.counit
+    phi = structure_map_from_pair(triple, chi)
+    if block_form:
+        expected = structure_map_blocks(triple.pi, triple.xi, chi)
+    else:
+        expected = cp_generator_blocks(triple.pi, triple.xi, d_mat, chi)
+    assert np.max(np.abs(phi.mats - expected)) < 1e-13
+
+    # the walk step is [v_0, v_rest]* (chi (+) pi) [v_0, v_rest] with V = U diag(1, D);
+    # cp_generator_blocks with a zero character computes exactly that compression
+    p, d = d_mat.shape
+    h = admissible_hs(triple.xi)[1]
+    embed = np.zeros((p + 1, d + 1), dtype=complex)
+    embed[0, 0] = 1.0
+    embed[1:, 1:] = d_mat
+    v = walk_unitary(triple.xi, h) @ embed
+    big = np.zeros((b.dim, p + 1, p + 1), dtype=complex)
+    big[:, 0, 0] = chi
+    big[:, 1:, 1:] = triple.pi
+    expected_walk = cp_generator_blocks(big, v[:, 0], v[:, 1:], np.zeros(b.dim))
+    psi = build_walk(triple, chi, h)
+    assert psi.dim == triple.noise_dim + 1 == d + 1
+    assert np.max(np.abs(psi.mats - expected_walk)) < 1e-13
+
+
+def test_error_identity_rank_two_isometry(c_s3):
+    triple = rank_two_triple(c_s3)
+    assert not c_s3.is_cocommutative(1e-12)
+    for h in admissible_hs(triple.xi):
+        assert verify_error_identity(triple, c_s3.counit, h) < IDENTITY_TOL
 
 
 def test_error_identity_unitary_case(group_z2, z2_sign_triple):
