@@ -10,18 +10,17 @@ the convolution iterate.
 
 Convolution exponentials exp_*(t psi) are computed by materializing the
 one-sided convolution operator T_psi = (id (x) psi) o Delta on the
-coefficient space once and applying scipy's Pade scaling-and-squaring
-matrix exponential.
+coefficient space once and applying the [13/13] Pade scaling-and-squaring
+matrix exponential of linalg.expm.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bialgebra import CounitalBialgebra
-from .linalg import as_complex_array, readonly
+from .linalg import as_complex_array, expm, readonly
 from .structure_maps import OperatorMap
 
 __all__ = [

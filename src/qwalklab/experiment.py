@@ -31,7 +31,14 @@ from .convolution import (
     check_compatibility,
     convolve_functionals,
 )
-from .fock import StepFunction, step_function_from_payload, walk_matrix_element
+from .fock import (
+    GridSpec,
+    PartitionMismatch,
+    StepFunction,
+    _validate_alignment,
+    step_function_from_payload,
+    walk_matrix_element,
+)
 from .groups import (
     FiniteGroup,
     cyclic_character_table,
@@ -287,6 +294,21 @@ class ExperimentConfig:
         times = _read(payload, "sample_times", lambda v: _numbers(v or [horizon]))
         if any(t < 0 or t > horizon + 1e-9 for t in times):
             raise ConfigError("sample times must lie in [0, time_horizon]")
+        longest, h_min = max(times), min(h_values)
+        if not (h_min > 0 and longest <= 2**53 * h_min):
+            raise ConfigError(
+                f"invalid 'sweep': h = {h_min:g} splits sample time {longest:g} into more than "
+                "2**53 cells, past which cell counts are not exact integers"
+            )
+        # the sweep's own alignment rule, applied to every swept h before any run
+        for h in h_values:
+            grid = GridSpec.from_time(longest, h)
+            for k, pair in enumerate(pairs):
+                for fn in pair:
+                    try:
+                        _validate_alignment(fn, grid)
+                    except PartitionMismatch as exc:
+                        raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
         probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(int, _list(v))), "all")
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")

@@ -1,4 +1,6 @@
 import copy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,6 +251,9 @@ MALFORMED_FIELDS = [
     ("identity_h", ("identity_h",), [-0.1]),
     ("compatibility_depth", ("compatibility_depth",), -1),
     ("step_function_pairs", ("step_function_pairs", 0, "f"), [[-0.5, [1.0, 0.0]], [1.5, [0.6, -0.3]]]),
+    ("sweep", ("sweep",), {"h0": 1e-320, "count": 1}),
+    ("sweep", ("sweep",), {"h0": 1e-200, "count": 1}),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[0.3, [1.0, 0.0]], [0.7, [0.6, -0.3]]]),
 ]
 
 
@@ -339,9 +344,6 @@ def test_log_level_env_does_not_break(tmp_path, monkeypatch, capsys):
 
 
 def test_python_dash_m_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     path = write_config(tmp_path, base_payload())
     proc = subprocess.run(
         [sys.executable, "-m", "qwalklab", "verify", "--config", str(path), "--out", str(tmp_path)],
@@ -350,3 +352,10 @@ def test_python_dash_m_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, qwalklab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
