@@ -20,7 +20,6 @@ from .cocycle import (
     CocycleEvaluator,
     GeneratorMismatch,
     assoc_generator,
-    cocycle_matrix_element,
     cross_validate_against_walk,
 )
 from .convolution import (
@@ -28,7 +27,6 @@ from .convolution import (
     DimensionCapExceeded,
     check_compatibility,
     composition_iterates,
-    convolution_exponential,
     convolution_iterates,
     convolve,
     convolve_functionals,
@@ -40,7 +38,6 @@ from .fock import (
     GridSpec,
     PartitionMismatch,
     StepFunction,
-    embed_vector,
     step_function_from_payload,
     step_function_to_payload,
     step_hat_vectors,
@@ -86,13 +83,11 @@ __all__ = [
     "CocycleEvaluator",
     "GeneratorMismatch",
     "assoc_generator",
-    "cocycle_matrix_element",
     "cross_validate_against_walk",
     "ConvolutionSemigroup",
     "DimensionCapExceeded",
     "check_compatibility",
     "composition_iterates",
-    "convolution_exponential",
     "convolution_iterates",
     "convolve",
     "convolve_functionals",
@@ -106,7 +101,6 @@ __all__ = [
     "GridSpec",
     "PartitionMismatch",
     "StepFunction",
-    "embed_vector",
     "step_function_from_payload",
     "step_function_to_payload",
     "step_hat_vectors",

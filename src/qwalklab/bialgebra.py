@@ -343,7 +343,7 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
     if payload.get("format") != "bialgebra-v1":
         raise FormatError(f"unsupported bialgebra format {payload.get('format')!r}")
     try:
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         fields = {
             key: decode_complex_array(payload[name])
             for key, name in (
@@ -358,10 +358,14 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
         }
     except KeyError as exc:
         raise FormatError(f"missing bialgebra field {exc.args[0]!r}") from exc
-    labels = tuple(payload.get("labels") or (f"b{i}" for i in range(dim)))
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise FormatError(f"invalid 'dim': expected an integer, got {dim!r}")
+    labels = payload.get("labels") or [f"b{i}" for i in range(dim)]
+    if not isinstance(labels, list):
+        raise FormatError(f"invalid 'labels': expected a list of {dim} names, got {labels!r}")
     if len(labels) != dim:
         raise FormatError(f"label count {len(labels)} != dim {dim}")
-    return CounitalBialgebra(name=str(payload.get("name", "B")), labels=labels, **fields)
+    return CounitalBialgebra(name=str(payload.get("name", "B")), labels=tuple(labels), **fields)
 
 
 def load_bialgebra(path, tol: float = 1e-12) -> CounitalBialgebra:

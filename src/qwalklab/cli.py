@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 a verification check failed,
-2 the request itself was invalid (bad config, malformed file, unknown demo).
+2 the request itself was invalid (bad config, malformed file, unknown demo),
+3 an internal error: any other exception, reported as one "internal error:"
+line on stderr (the traceback is logged at DEBUG level).
 """
 from __future__ import annotations
 
@@ -176,12 +178,13 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         if args.command == "demo":
             return _cmd_demo(args)
-    except (ConfigError, FormatError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     parser.error("a subcommand is required")
     return 2
 

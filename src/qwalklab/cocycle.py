@@ -14,8 +14,8 @@ constant values c_k, d_k and
 
     phi_{c,d}(b) = <hat(c), phi(b) hat(d)> + <c, d> eps(b)
 
-is the associated-semigroup generator.  The per-(c, d) semigroup
-matrices are cached, keyed by the values, inside a CocycleEvaluator.
+is the associated-semigroup generator.  The product runs through
+fock._piecewise_product, the loop that also evaluates the walk.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import ConvolutionSemigroup, convolve_functionals
-from .fock import GridSpec, StepFunction, _as_coeffs, _pieces, walk_matrix_element
+from .convolution import ConvolutionSemigroup
+from .fock import GridSpec, StepFunction, _piecewise_product, walk_matrix_element
 from .linalg import as_complex_array
 from .structure_maps import ImplementingTriple, OperatorMap, structure_map_from_pair
 from .walk import build_walk
@@ -33,7 +33,6 @@ __all__ = [
     "GeneratorMismatch",
     "assoc_generator",
     "CocycleEvaluator",
-    "cocycle_matrix_element",
     "CrossValidationRow",
     "cross_validate_against_walk",
 ]
@@ -54,21 +53,12 @@ def assoc_generator(phi: OperatorMap, c, d) -> np.ndarray:
 
 
 class CocycleEvaluator:
-    """Evaluates one cocycle's matrix elements, caching per-(c, d) semigroups."""
+    """Evaluates one cocycle's matrix elements."""
 
     def __init__(self, phi: OperatorMap):
         self.phi = phi
         self.source = phi.source
         self.hat = phi.hat
-        self._semigroups: dict[bytes, ConvolutionSemigroup] = {}
-
-    def _semigroup(self, c: np.ndarray, d: np.ndarray) -> ConvolutionSemigroup:
-        key = np.ascontiguousarray(c).tobytes() + b"|" + np.ascontiguousarray(d).tobytes()
-        sg = self._semigroups.get(key)
-        if sg is None:
-            sg = ConvolutionSemigroup(self.source, assoc_generator(self.phi, c, d))
-            self._semigroups[key] = sg
-        return sg
 
     def matrix_element(self, b_coeffs, f: StepFunction, g: StepFunction, t: float) -> complex:
         """<eps(f), l_t(b) eps(g)>; b may be a basis index or coefficients."""
@@ -80,17 +70,11 @@ class CocycleEvaluator:
                 f"step functions have noise dimension {f.noise_dim}/{g.noise_dim}, "
                 f"generator expects {dim}"
             )
-        b_coeffs = _as_coeffs(self.source, b_coeffs)
-        out = self.source.counit
-        for lo, hi, c, d in _pieces(0.0, t, f, g):
-            out = convolve_functionals(self.source, out, self._semigroup(c, d).at(hi - lo))
-        tail = np.exp(f.overlap(g, a=t))
-        return complex(np.dot(out, b_coeffs) * tail)
 
+        def exponential(c, d, duration):
+            return ConvolutionSemigroup(self.source, assoc_generator(self.phi, c, d)).at(duration)
 
-def cocycle_matrix_element(phi: OperatorMap, b_coeffs, f: StepFunction, g: StepFunction, t: float) -> complex:
-    """One-shot form of CocycleEvaluator(...).matrix_element."""
-    return CocycleEvaluator(phi).matrix_element(b_coeffs, f, g, t)
+        return _piecewise_product(self.source, b_coeffs, f, g, t, exponential)
 
 
 @dataclass(frozen=True)

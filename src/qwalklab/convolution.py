@@ -36,7 +36,6 @@ __all__ = [
     "composition_iterates",
     "check_compatibility",
     "ConvolutionSemigroup",
-    "convolution_exponential",
 ]
 
 DEFAULT_DIMENSION_CAP = 4096
@@ -191,7 +190,3 @@ class ConvolutionSemigroup:
             self.source, np.einsum("j,ijab->iab", self.source.counit, evolved)
         )
 
-
-def convolution_exponential(source: CounitalBialgebra, psi, t: float):
-    """One-shot exp_*(t psi); build a ConvolutionSemigroup to reuse T_psi."""
-    return ConvolutionSemigroup(source, psi).at(t)

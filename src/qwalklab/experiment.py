@@ -92,8 +92,37 @@ DEFAULT_TOLERANCES = {
 }
 
 
+#: the longest h ladder a sweep may ask for
+MAX_SWEEP_COUNT = 64
+
+#: the keys each config section admits (None: the top level); any other key is rejected
+SECTION_KEYS = {
+    None: frozenset(
+        {
+            "label", "bialgebra", "character", "triple", "noise_dim", "step_function_pairs", "time_horizon",
+            "sample_times", "sweep", "identity_h", "probes", "compatibility_depth", "dimension_cap",
+            "tolerances", "final_error_bound",
+        }
+    ),
+    "bialgebra": frozenset({"builtin", "group", "file"}),
+    "triple": frozenset({"pi", "xi", "D"}),
+    "sweep": frozenset({"h0", "ratio", "count"}),
+}
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _check_keys(payload: dict) -> None:
+    """A ConfigError naming the first key that its section does not admit."""
+    for name, allowed in SECTION_KEYS.items():
+        section = payload if name is None else payload.get(name)
+        if isinstance(section, dict):
+            unknown = sorted(set(section) - allowed)
+            if unknown:
+                where = "the config" if name is None else repr(name)
+                raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
 def _read(section: dict, key: str, convert, default=None):
@@ -139,9 +168,11 @@ def _ladder(sweep) -> tuple[float, ...]:
     sweep = _object(sweep)
     h0 = _number(sweep.get("h0", 0.25))
     ratio = _number(sweep.get("ratio", 0.5))
-    count = int(sweep.get("count", 6))
-    if not (h0 > 0 and 0 < ratio < 1 and count >= 1):
-        raise ValueError("sweep requires h0 > 0, 0 < ratio < 1, count >= 1")
+    count = sweep.get("count", 6)
+    if not (isinstance(count, int) and not isinstance(count, bool) and 1 <= count <= MAX_SWEEP_COUNT):
+        raise ValueError(f"count must be an integer in 1..{MAX_SWEEP_COUNT}, got {count!r}")
+    if not (h0 > 0 and 0 < ratio < 1):
+        raise ValueError("sweep requires h0 > 0 and 0 < ratio < 1")
     return tuple(h0 * ratio**k for k in range(count))
 
 
@@ -156,7 +187,7 @@ def _tolerances(overrides) -> dict[str, float]:
 
 def _resolve_group(name_or_file, base_dir: Path) -> FiniteGroup:
     if isinstance(name_or_file, dict) and "file" in name_or_file:
-        payload = read_json(base_dir / name_or_file["file"])
+        payload = read_json(_read(name_or_file, "file", base_dir.joinpath))
         return FiniteGroup.from_payload(payload)
     if not isinstance(name_or_file, str):
         raise ConfigError(f"group must be a name like 'z2'/'s3' or {{'file': ...}}, got {name_or_file!r}")
@@ -187,11 +218,16 @@ def resolve_bialgebra(section, base_dir: Path) -> CounitalBialgebra:
     if not isinstance(section, dict):
         raise ConfigError("'bialgebra' must be an object")
     if "file" in section:
-        return load_bialgebra(base_dir / section["file"])
+        return load_bialgebra(_read(section, "file", base_dir.joinpath))
     builtin = section.get("builtin")
     if builtin not in ("function_algebra", "group_algebra"):
         raise ConfigError(f"bialgebra builtin must be 'function_algebra' or 'group_algebra', got {builtin!r}")
-    group = _resolve_group(section.get("group"), base_dir)
+    try:
+        group = _resolve_group(section.get("group"), base_dir)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a GroupTableError, FormatError or malformed table
+        raise ConfigError(f"invalid 'group': {exc}") from exc
     if builtin == "function_algebra":
         return build_function_algebra(group)
     return build_group_algebra(group, extra_characters=_builtin_extra_characters(group))
@@ -255,6 +291,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_payload(cls, payload: dict, base_dir: Path) -> "ExperimentConfig":
+        _check_keys(payload)
         try:
             b = resolve_bialgebra(payload.get("bialgebra"), base_dir)
         except AxiomViolation:
@@ -310,6 +347,8 @@ class ExperimentConfig:
                     except PartitionMismatch as exc:
                         raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
         probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(int, _list(v))), "all")
+        if not probes:
+            raise ConfigError("invalid 'probes': at least one probe is required")
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")
         depth = _read(payload, "compatibility_depth", int, 3)
@@ -492,7 +531,7 @@ def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, com
                 errors[label] = abs(walk_val - limits[label])
     return {
         "h": h,
-        "n_steps": int(np.floor(config.sample_times[-1] / h + 1e-9)),
+        "n_steps": GridSpec.from_time(max(config.sample_times), h).n,
         "generator_gap": gap,
         "errors": errors,
         "max_error": max(errors.values()),

@@ -12,11 +12,13 @@ exponential vectors therefore factorizes into a left-to-right
 convolution of n scalar functionals, one per grid cell.  On each piece
 of the common refinement of f and g the functional is the same lambda,
 so the piece contributes the convolution power lambda^{*m} over its m
-cells; walk_matrix_element multiplies these per-piece powers in order,
-the same product shape as the cocycle limit, and never materializes the
-(d+1)^n-dimensional iterate.  The materialized route (toy_matrix_element
-composed with convolution_iterates) agrees and is used as a
-cross-check at small n.
+cells.  The walk and its cocycle limit share one loop,
+_piecewise_product, which joins one functional per piece left to right
+and multiplies by the tail factor; only the factor of a piece differs
+(lambda^{*m} here, exp_*(D phi_{c,d}) in cocycle.py).  The
+(d+1)^n-dimensional iterate is never materialized.  The materialized
+route (toy_matrix_element composed with convolution_iterates) agrees
+and is used as a cross-check at small n.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ __all__ = [
     "PartitionMismatch",
     "StepFunction",
     "GridSpec",
-    "embed_vector",
     "toy_matrix_element",
     "walk_matrix_element",
     "step_hat_vectors",
@@ -100,12 +101,6 @@ class StepFunction:
         k = int(np.searchsorted(self.breakpoints, s, side="right") - 1)
         k = min(max(k, 0), len(self.durations) - 1)
         return self.values[k].copy()
-
-    def restrict(self, a: float, b: float) -> "StepFunction":
-        """The function s -> f(a + s) on [0, b - a), for [a, b) inside the support grid."""
-        if b <= a:
-            raise ValueError("empty restriction window")
-        return StepFunction.from_segments((hi - lo, v) for lo, hi, v, _ in _pieces(a, b, self, self))
 
     def overlap(self, other: "StepFunction", a: float = 0.0, b: float | None = None) -> complex:
         """integral_a^b <self(s), other(s)> ds (first argument conjugated)."""
@@ -182,28 +177,6 @@ def step_hat_vectors(f: StepFunction, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def embed_vector(v, grid: GridSpec, j: int, f: StepFunction) -> complex:
-    """<D_j (z, c), eps(f) restricted to cell j> for the j-th cell embedding.
-
-    D_j sends (z, c) to the Fock vector with vacuum component z and
-    one-particle component h^{-1/2} c on [(j-1)h, jh); pairing against
-    the exponential vector of f gives conj(z) + h^{-1/2} <c, integral of
-    f over the cell>.
-    """
-    v = as_complex_array(v)
-    if not 1 <= j <= max(grid.n, 1):
-        raise ValueError(f"cell index {j} outside 1..{grid.n}")
-    z, c = v[0], v[1:]
-    lo = grid.cell_start(j)
-    box = StepFunction.constant(c, grid.h)
-    integral = box.overlap(f.restrict(lo, lo + grid.h)) if f.total_time > lo else 0.0
-    return complex(np.conjugate(z) + integral / np.sqrt(grid.h))
-
-
-def _tail_factor(f: StepFunction, g: StepFunction, start: float) -> complex:
-    return complex(np.exp(f.overlap(g, a=start)))
-
-
 def toy_matrix_element(a_matrix, f: StepFunction, g: StepFunction, grid: GridSpec) -> complex:
     """<eps(f), (D A D* (x) I) eps(g)> for A on the n-fold hat-space power.
 
@@ -222,7 +195,7 @@ def toy_matrix_element(a_matrix, f: StepFunction, g: StepFunction, grid: GridSpe
     for j in range(grid.n):
         left = np.kron(left, u[j])
         right = np.kron(right, v[j])
-    return complex(np.vdot(left, a_matrix @ right) * _tail_factor(f, g, grid.horizon))
+    return complex(np.vdot(left, a_matrix @ right) * np.exp(f.overlap(g, a=grid.horizon)))
 
 
 def walk_matrix_element(
@@ -239,7 +212,6 @@ def walk_matrix_element(
     at b, times the tail factor.
     """
     src = psi.source
-    b_coeffs = _as_coeffs(src, b_coeffs)
     grid = GridSpec.from_time(t, h)
     if psi.dim != f.noise_dim + 1 or f.noise_dim != g.noise_dim:
         raise ValueError(
@@ -249,13 +221,27 @@ def walk_matrix_element(
     _validate_alignment(f, grid)
     _validate_alignment(g, grid)
     root_h = np.sqrt(grid.h)
-    out = src.counit
-    for lo, hi, c, d in _pieces(0.0, grid.horizon, f, g):
+
+    def power(c, d, duration):
         u, v = psi.hat.hat(root_h * c), psi.hat.hat(root_h * d)
         lam = np.einsum("a,iab,b->i", np.conjugate(u), psi.mats, v)
-        power = np.linalg.matrix_power(transfer_matrix(src, lam), round((hi - lo) / grid.h)) @ src.counit
-        out = convolve_functionals(src, out, power)
-    return complex(np.dot(out, b_coeffs) * _tail_factor(f, g, grid.horizon))
+        return np.linalg.matrix_power(transfer_matrix(src, lam), round(duration / grid.h)) @ src.counit
+
+    return _piecewise_product(src, b_coeffs, f, g, grid.horizon, power)
+
+
+def _piecewise_product(src, b_coeffs, f: StepFunction, g: StepFunction, t: float, factor) -> complex:
+    """(F_1 * ... * F_m)(b) exp(integral_t <f, g>) over the pieces of f and g on [0, t).
+
+    F_k = factor(c, d, duration) is the functional of the k-th piece of
+    the common refinement, where f = c and g = d; the pieces are joined
+    left to right.  The walk and the cocycle limit differ only in factor.
+    """
+    b_coeffs = _as_coeffs(src, b_coeffs)
+    out = src.counit
+    for lo, hi, c, d in _pieces(0.0, t, f, g):
+        out = convolve_functionals(src, out, factor(c, d, hi - lo))
+    return complex(np.dot(out, b_coeffs) * np.exp(f.overlap(g, a=t)))
 
 
 def _as_coeffs(src, b_coeffs) -> np.ndarray:

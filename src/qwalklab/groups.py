@@ -114,8 +114,8 @@ class FiniteGroup:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Cyclic group of order n, element i representing the i-th power of the generator."""
-    if n < 1:
-        raise GroupTableError("order must be positive")
+    if not 1 <= n <= MAX_ORDER:
+        raise GroupTableError(f"order {n} outside the supported range 1..{MAX_ORDER}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = tuple("e" if i == 0 else f"g{i}" for i in range(n))

@@ -3,17 +3,19 @@ import pytest
 
 from qwalklab import (
     CocycleEvaluator,
+    ConvolutionSemigroup,
     ExperimentConfig,
     GeneratorMismatch,
     ImplementingTriple,
     StepFunction,
     assoc_generator,
-    cocycle_matrix_element,
     convolve_functionals,
     cross_validate_against_walk,
     structure_map_from_pair,
 )
 from qwalklab.experiment import _demo_payload
+
+from .test_structure_maps import two_character_triple
 
 
 @pytest.fixture()
@@ -40,7 +42,7 @@ def test_time_zero_is_counit_times_gram(group_z2, z2_phi):
     f = StepFunction.constant([0.9], 1.0)
     g = StepFunction.constant([0.3 + 0.4j], 1.0)
     b = np.array([0.2, 0.8 - 0.1j])
-    got = cocycle_matrix_element(z2_phi, b, f, g, 0.0)
+    got = CocycleEvaluator(z2_phi).matrix_element(b, f, g, 0.0)
     expected = (group_z2.counit @ b) * f.exponential_inner(g)
     assert abs(got - expected) < 1e-13
 
@@ -48,13 +50,13 @@ def test_time_zero_is_counit_times_gram(group_z2, z2_phi):
 def test_negative_time_rejected(z2_phi):
     f = StepFunction.constant([0.9], 1.0)
     with pytest.raises(ValueError):
-        cocycle_matrix_element(z2_phi, 0, f, f, -0.5)
+        CocycleEvaluator(z2_phi).matrix_element(0, f, f, -0.5)
 
 
 def test_noise_dim_mismatch_rejected(z2_phi):
     f = StepFunction.constant([0.9, 0.1], 1.0)
     with pytest.raises(ValueError):
-        cocycle_matrix_element(z2_phi, 0, f, f, 1.0)
+        CocycleEvaluator(z2_phi).matrix_element(0, f, f, 1.0)
 
 
 def test_fake_breakpoint_changes_nothing(group_z2, z2_phi):
@@ -64,25 +66,40 @@ def test_fake_breakpoint_changes_nothing(group_z2, z2_phi):
     split = StepFunction.from_segments([(0.4, [0.8]), (0.6, [0.8])])
     g = StepFunction.constant([0.3 - 0.2j], 1.0)
     b = np.array([0.5, 0.5])
-    one = cocycle_matrix_element(z2_phi, b, plain, g, 1.0)
-    two = cocycle_matrix_element(z2_phi, b, split, g, 1.0)
+    one = CocycleEvaluator(z2_phi).matrix_element(b, plain, g, 1.0)
+    two = CocycleEvaluator(z2_phi).matrix_element(b, split, g, 1.0)
     assert abs(one - two) < 1e-12
 
 
-def test_interval_factorization(group_z2, z2_phi):
-    # piecewise f: the matrix element is the ordered convolution of the
-    # per-interval exponentials; build the pieces by hand from two
-    # single-interval runs with the tail stripped
-    f = StepFunction.from_segments([(0.4, [1.0]), (0.6, [0.2j])])
-    g = StepFunction.constant([0.5], 1.0)
-    ev = CocycleEvaluator(z2_phi)
-    lam1 = ev._semigroup(np.array([1.0 + 0j]), np.array([0.5 + 0j])).at(0.4)
-    lam2 = ev._semigroup(np.array([0.2j]), np.array([0.5 + 0j])).at(0.6)
-    chained = convolve_functionals(group_z2, lam1, lam2)
-    b = np.array([0.3, 0.7])
-    expected = (chained @ b) * np.exp(f.overlap(g, a=1.0))
-    got = ev.matrix_element(b, f, g, 1.0)
-    assert abs(got - expected) < 1e-13
+def test_interval_factorization(z2_phi, c_s3):
+    # piecewise f and g: the matrix element is the ordered convolution of the
+    # per-interval exponentials, times the tail; build the pieces by hand.
+    # C(S3) is not cocommutative, so its case also fixes the join order
+    s3_phi = structure_map_from_pair(two_character_triple(c_s3, 1, 3, [0.5j, -0.6]), c_s3.counit)
+    s3_f = StepFunction.from_segments([(0.5, [1.0, 0.2j]), (0.25, [0.6 - 0.3j, -0.1]), (0.25, [-0.4j, 0.7])])
+    s3_g = StepFunction.from_segments([(0.375, [0.8 + 0.2j, -0.5]), (0.625, [0.3j, 0.9])])
+    cases = (
+        (
+            z2_phi,
+            StepFunction.from_segments([(0.4, [1.0]), (0.6, [0.2j])]),
+            StepFunction.constant([0.5], 1.0),
+            np.array([0.3, 0.7]),
+        ),
+        (s3_phi, s3_f, s3_g, np.linspace(-1.0, 1.0, 6) + 0.3j),
+    )
+    for phi, f, g, b in cases:
+        src = phi.source
+        cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
+        pieces = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            lam = assoc_generator(phi, f.value_at(lo), g.value_at(lo))
+            pieces.append(ConvolutionSemigroup(src, lam).at(hi - lo))
+        chained = pieces[0]
+        for piece in pieces[1:]:
+            chained = convolve_functionals(src, chained, piece)
+        expected = (chained @ b) * np.exp(f.overlap(g, a=1.0))
+        got = CocycleEvaluator(phi).matrix_element(b, f, g, 1.0)
+        assert abs(got - expected) < 1e-13
 
 
 def test_grouplike_exponential_closed_form(group_z2, z2_phi):
@@ -95,7 +112,7 @@ def test_grouplike_exponential_closed_form(group_z2, z2_phi):
     g = StepFunction.constant(d, 2.0)
     t = 1.5
     for i in range(2):
-        got = cocycle_matrix_element(z2_phi, i, f, g, t)
+        got = CocycleEvaluator(z2_phi).matrix_element(i, f, g, t)
         expected = np.exp(t * lam[i]) * np.exp(f.overlap(g, a=t))
         assert abs(got - expected) < 1e-12
 
@@ -112,7 +129,7 @@ def test_trotter_product_oracle(c_z2, c_z2_eval_triple):
     f = StepFunction.constant([0.4], 1.0)
     g = StepFunction.constant([0.9 - 0.2j], 1.0)
     b = np.array([1.0, -0.5j])
-    got = cocycle_matrix_element(phi, b, f, g, t)
+    got = CocycleEvaluator(phi).matrix_element(b, f, g, t)
     expected = (euler @ b) * np.exp(f.overlap(g, a=t))
     assert abs(got - expected) < 5e-4 * max(1.0, abs(expected))
 
@@ -183,10 +200,3 @@ def test_richardson_extrapolation_is_second_order(group_z2, z2_sign_triple, z2_p
     slope = np.polyfit(np.log(hs), np.log(rich_errs), 1)[0]
     assert 1.7 < slope < 2.3
 
-
-def test_evaluator_caches_semigroups(z2_phi):
-    ev = CocycleEvaluator(z2_phi)
-    f = StepFunction.from_segments([(0.5, [0.8]), (0.5, [0.8])])
-    g = StepFunction.constant([0.1], 1.0)
-    ev.matrix_element(0, f, g, 1.0)
-    assert len(ev._semigroups) == 1

@@ -7,7 +7,6 @@ from qwalklab import (
     OperatorMap,
     build_walk,
     check_compatibility,
-    convolution_exponential,
     convolution_iterates,
     convolve,
     convolve_functionals,
@@ -171,9 +170,3 @@ def test_operator_semigroup_law_and_start(group_z2, z2_sign_triple):
     assert start.distance(OperatorMap.scalar_identity(group_z2, group_z2.counit, 2)) < 1e-13
     law = mult_convolve(sg.at(0.3), sg.at(0.7))
     assert law.distance(sg.at(1.0)) < 1e-11
-
-
-def test_one_shot_exponential_matches_semigroup(c_z2):
-    psi = random_functional(c_z2, 19)
-    sg = ConvolutionSemigroup(c_z2, psi)
-    assert np.max(np.abs(convolution_exponential(c_z2, psi, 0.6) - sg.at(0.6))) < 1e-13

@@ -140,6 +140,12 @@ def test_sweep_report_shape(tmp_path):
     assert 0.7 < rep["gap_slope"] < 1.3
 
 
+def test_sweep_n_steps_follow_the_largest_sample_time(tmp_path):
+    cfg = ExperimentConfig.from_payload(base_payload(sample_times=[1.0, 0.5]), tmp_path)
+    rows = run_sweep(cfg).report["rows"]
+    assert [row["n_steps"] for row in rows] == [4, 8, 16, 32]
+
+
 def test_sweep_tail_slope_with_six_rows(tmp_path):
     payload = base_payload(sweep={"h0": 0.25, "ratio": 0.5, "count": 6})
     rep = run_sweep(ExperimentConfig.from_payload(payload, tmp_path)).report
@@ -254,6 +260,15 @@ MALFORMED_FIELDS = [
     ("sweep", ("sweep",), {"h0": 1e-320, "count": 1}),
     ("sweep", ("sweep",), {"h0": 1e-200, "count": 1}),
     ("step_function_pairs", ("step_function_pairs", 0, "f"), [[0.3, [1.0, 0.0]], [0.7, [0.6, -0.3]]]),
+    ("final_eror_bound", ("final_eror_bound",), 1e-30),
+    ("cuont", ("sweep", "cuont"), 99),
+    ("group", ("bialgebra", "group"), "z0"),
+    ("group", ("bialgebra", "group"), "z65"),
+    ("file", ("bialgebra", "file"), 5),
+    ("file", ("bialgebra", "group"), {"file": 5}),
+    ("probes", ("probes",), []),
+    ("sweep", ("sweep",), {"h0": 0.25, "ratio": 0.999999, "count": 1000000}),
+    ("sweep", ("sweep",), {"h0": 0.25, "ratio": 0.5, "count": 2.7}),
 ]
 
 
@@ -273,6 +288,40 @@ def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, fiel
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert repr(field) in err
+
+
+@pytest.mark.parametrize(
+    "bialgebra, content, field",
+    [
+        ({"builtin": "group_algebra", "group": {"file": "bad.json"}}, {"order": 2, "mult_table": [0, 0, 0, 0]}, "group"),
+        ({"file": "bad.json"}, {"dim": "x"}, "dim"),
+        ({"file": "bad.json"}, {"labels": 5}, "labels"),
+    ],
+    ids=["group-not-a-group", "bialgebra-dim", "bialgebra-labels"],
+)
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_malformed_file_exits_two_naming_it(tmp_path, capsys, command, bialgebra, content, field):
+    if "file" in bialgebra:
+        b = build_group_algebra(symmetric_group(3), extra_characters=[symmetric_sign_character(3)])
+        content = {**bialgebra_to_payload(b), **content}
+    write_json(tmp_path / "bad.json", content)
+    config = write_config(tmp_path, base_payload(bialgebra=bialgebra))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(field) in err
+
+
+def test_cli_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("qwalklab.cli.run_sweep", broken)
+    path = write_config(tmp_path, base_payload())
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "injected" in err
 
 
 def test_cli_missing_config_exits_two(tmp_path, capsys):

@@ -8,7 +8,6 @@ from qwalklab import (
     StepFunction,
     build_walk,
     convolution_iterates,
-    embed_vector,
     step_function_from_payload,
     step_function_to_payload,
     step_hat_vectors,
@@ -61,14 +60,6 @@ def test_exponential_inner_product():
     assert abs(f.exponential_inner(g) - np.exp(f.overlap(g))) < 1e-14
 
 
-def test_restrict_shifts_the_window():
-    f = two_piece()
-    r = f.restrict(0.25, 0.75)
-    assert abs(r.total_time - 0.5) < 1e-12
-    assert r.value_at(0.1)[0] == 1.0
-    assert r.value_at(0.4)[0] == 0.6 - 0.3j
-
-
 def test_grid_from_time_floor_convention():
     assert GridSpec.from_time(1.0, 0.25).n == 4
     assert GridSpec.from_time(0.9999999999, 0.25).n == 4
@@ -96,17 +87,6 @@ def test_partition_mismatch_raises():
     # breakpoints beyond the horizon are irrelevant
     g = StepFunction.from_segments([(0.5, [1.0]), (0.3, [0.0])])
     step_hat_vectors(g, GridSpec(h=0.25, n=2))
-
-
-def test_embed_vector_pairing():
-    f = two_piece()
-    grid = GridSpec(h=0.25, n=4)
-    h = 0.25
-    got = embed_vector([0.5 - 0.1j, 0.3j], grid, 3, f)
-    expected = np.conjugate(0.5 - 0.1j) + np.sqrt(h) * np.conjugate(0.3j) * (0.6 - 0.3j)
-    assert abs(got - expected) < 1e-13
-    with pytest.raises(ValueError):
-        embed_vector([1.0, 0.0], grid, 5, f)
 
 
 def test_identity_matrix_element_is_euler_product():
