@@ -17,6 +17,7 @@ any check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,10 @@ AXIOM_ORDER = (
     "characters",
     "representation",
 )
+
+#: relative tolerance that separates eigenvalues, singular values and
+#: characters when rep is split into irreducible blocks
+_SPLIT_RTOL = 1e-8
 
 
 class AxiomViolation(ValueError):
@@ -107,6 +112,16 @@ class CounitalBialgebra:
     def rep_dim(self) -> int:
         return self.rep.shape[1]
 
+    @cached_property
+    def block_rep(self) -> np.ndarray:
+        """rep compressed to its irreducible blocks, each taken once, block-diagonal.
+
+        b_i -> block_rep[i] is a faithful unital *-representation of the
+        same C*-algebra as rep, of size sum_j d_j with sum_j d_j^2 = dim;
+        computed on first use and kept.
+        """
+        return _irreducible_blocks(self.rep)
+
     def basis_coeffs(self, i: int) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
         out[i] = 1.0
@@ -127,6 +142,35 @@ class CounitalBialgebra:
 
     def is_commutative(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= tol)
+
+
+def _irreducible_blocks(rep: np.ndarray) -> np.ndarray:
+    """One copy of each irreducible subrepresentation of rep, block-diagonal.
+
+    A generic Hermitian a = sum_i c_i rep_i + h.c. has, in every
+    irreducible block, simple eigenvalues that no other block shares, so
+    an eigenvector v of each eigenvalue cluster lies in one irreducible
+    subspace, the cyclic span{rep_i v}.  The coefficients c are complex:
+    with real ones C[Z_n] has tied eigenvalues at k and -k.  Equivalent
+    blocks have equal characters, and only the first of each is kept.
+    """
+    n = rep.shape[0]
+    rng = np.random.default_rng(0)
+    a = np.einsum("i,iab->ab", rng.standard_normal(n) + 1j * rng.standard_normal(n), rep)
+    evals, evecs = np.linalg.eigh(a + dag(a))
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    bases, chars = [], []
+    for k in np.flatnonzero(np.diff(evals, prepend=-np.inf) > _SPLIT_RTOL * scale):
+        u, s, _ = np.linalg.svd(np.einsum("iab,b->ai", rep, evecs[:, k]), full_matrices=False)
+        q = u[:, s > _SPLIT_RTOL * s[0]]
+        char = np.einsum("ak,iab,bk->i", np.conjugate(q), rep, q)
+        if all(np.max(np.abs(char - c)) > _SPLIT_RTOL * max(1.0, np.max(np.abs(c))) for c in chars):
+            bases.append(q)
+            chars.append(char)
+    q = np.concatenate(bases, axis=1)
+    blocks = np.einsum("ak,iab,bl->ikl", np.conjugate(q), rep, q, optimize=True)
+    owner = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
+    return readonly(blocks * (owner[:, None] == owner[None, :]))
 
 
 @dataclass(frozen=True)

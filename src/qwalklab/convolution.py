@@ -59,7 +59,7 @@ def convolve(f: OperatorMap, g: OperatorMap, cap: int = DEFAULT_DIMENSION_CAP) -
     if g.source is not b and g.source.dim != b.dim:
         raise ValueError("convolution factors live on different bialgebras")
     _check_cap(f.dim * g.dim, cap)
-    out = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, f.mats, g.mats)
+    out = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, f.mats, g.mats, optimize=True)
     k = f.dim * g.dim
     return OperatorMap(b, out.reshape(b.dim, k, k))
 

@@ -95,6 +95,9 @@ DEFAULT_TOLERANCES = {
 #: the longest h ladder a sweep may ask for
 MAX_SWEEP_COUNT = 64
 
+#: the most step lengths identity_h may list (each builds a walk and checks an identity)
+MAX_IDENTITY_H = 64
+
 #: the keys each config section admits (None: the top level); any other key is rejected
 SECTION_KEYS = {
     None: frozenset(
@@ -142,6 +145,19 @@ def _number(value) -> float:
 
 def _numbers(value) -> tuple[float, ...]:
     return tuple(_number(v) for v in _list(value))
+
+
+def _integer(value) -> int:
+    """A JSON integer as it stands: 2.5 or True is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _step_lengths(value) -> tuple[float, ...]:
+    if len(_list(value)) > MAX_IDENTITY_H:
+        raise ValueError(f"at most {MAX_IDENTITY_H} step lengths, got {len(value)}")
+    return _numbers(value)
 
 
 def _finite_array(node) -> np.ndarray:
@@ -301,7 +317,7 @@ class ExperimentConfig:
         chi = resolve_character(b, payload.get("character", "counit"))
         triple = resolve_triple(b, payload.get("triple"))
         noise_dim = triple.noise_dim
-        declared = _read(payload, "noise_dim", lambda v: None if v is None else int(v))
+        declared = _read(payload, "noise_dim", lambda v: None if v is None else _integer(v))
         if declared is not None and declared != noise_dim:
             raise ConfigError(f"declared noise_dim {declared} != triple noise dimension {noise_dim}")
         h_values = _read(payload, "sweep", lambda v: _ladder(v or {}))
@@ -346,22 +362,22 @@ class ExperimentConfig:
                         _validate_alignment(fn, grid)
                     except PartitionMismatch as exc:
                         raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
-        probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(int, _list(v))), "all")
+        probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(_integer, _list(v))), "all")
         if not probes:
             raise ConfigError("invalid 'probes': at least one probe is required")
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")
-        depth = _read(payload, "compatibility_depth", int, 3)
+        depth = _read(payload, "compatibility_depth", _integer, 3)
         if depth < 0:
             raise ConfigError(f"invalid 'compatibility_depth': {depth} is negative")
-        cap = _read(payload, "dimension_cap", int, DEFAULT_DIMENSION_CAP)
+        cap = _read(payload, "dimension_cap", _integer, DEFAULT_DIMENSION_CAP)
         if (noise_dim + 1) ** depth > cap:
             raise ConfigError(
                 f"compatibility depth {depth} would materialize dimension "
                 f"{(noise_dim + 1) ** depth} > cap {cap}"
             )
         tol = _read(payload, "tolerances", lambda v: _tolerances(v or {}))
-        identity_h = _read(payload, "identity_h", lambda v: _numbers(v or (0.5, 0.1, 0.01)))
+        identity_h = _read(payload, "identity_h", lambda v: _step_lengths(v or (0.5, 0.1, 0.01)))
         if any(h <= 0 for h in identity_h):
             raise ConfigError(f"invalid 'identity_h': step lengths must be positive, got {list(identity_h)}")
         return cls(

@@ -22,7 +22,7 @@ and is used as a cross-check at small n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,11 +54,14 @@ class PartitionMismatch(ValueError):
 class StepFunction:
     """Piecewise-constant function on [0, total_time), zero afterwards.
 
-    values[k] is the constant C^d value held for durations[k].
+    values[k] is the constant C^d value held for durations[k]; breakpoints
+    (0 and the running sums of durations) and total_time are derived once.
     """
 
     durations: np.ndarray
     values: np.ndarray
+    breakpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    total_time: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         durations = np.asarray(self.durations, dtype=float)
@@ -69,8 +72,12 @@ class StepFunction:
             raise ValueError("segment durations must be positive and nonempty")
         durations = durations.copy()
         durations.setflags(write=False)
+        breakpoints = np.concatenate([[0.0], np.cumsum(durations)])
+        breakpoints.setflags(write=False)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "values", readonly(values))
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "total_time", float(np.sum(durations)))
 
     @classmethod
     def constant(cls, value, duration: float) -> "StepFunction":
@@ -85,14 +92,6 @@ class StepFunction:
     @property
     def noise_dim(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def total_time(self) -> float:
-        return float(np.sum(self.durations))
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.durations)])
 
     def value_at(self, s: float) -> np.ndarray:
         """f(s); zero vector outside [0, total_time)."""

@@ -99,12 +99,12 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
 
 
 def polar_unitary(g: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of a square matrix (maximizes Re tr(G^H X))."""
+    """Unitary polar factor of a square matrix (maximizes Re tr(G^H X)), along a stack."""
     u, _, vh = np.linalg.svd(g)
     return u @ vh
 
 
-def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest singular value with its left and right singular vectors."""
+def top_singular_triple(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest singular value with its left and right singular vectors, along a stack."""
     u, s, vh = np.linalg.svd(m)
-    return float(s[0]), u[:, 0], vh[0, :].conj()
+    return s[..., 0], u[..., :, 0], np.conjugate(vh[..., 0, :])

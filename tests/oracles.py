@@ -136,3 +136,50 @@ def functional_transfer_matrix(coproduct, psi_vec):
         for j in range(n):
             t[i, j] = sum(coproduct[i, j, k] * psi_vec[k] for k in range(n))
     return t
+
+
+def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e-13, seed=0):
+    """||theta (x) id_{M_K}|| by alternating ascent on the representation rep as given.
+
+    One start at a time: the identity, each rep_i / ||rep_i|| (x) I, then
+    seeded random unitaries; each climbs until val <= prev (1 + rtol).
+    Inputs are pressed through the Hilbert-Schmidt expectation onto
+    rep(B) (x) M_K before theta is applied.
+    """
+    n, m, _ = rep.shape
+    k = theta_mats.shape[1]
+    gram = np.einsum("iab,jab->ij", np.conjugate(rep), rep)
+    dual = np.einsum("ik,kab->iab", np.conjugate(np.linalg.inv(gram)), rep)
+
+    def apply(x):
+        c = np.einsum("iab,ambn->imn", np.conjugate(dual), x.reshape(m, k, m, k))
+        return np.einsum("iab,imn->ambn", theta_mats, c).reshape(k * k, k * k)
+
+    def functional(u, v):
+        tmp = np.einsum("km,ikl,ln->imn", u.reshape(k, k), np.conjugate(theta_mats), np.conjugate(v.reshape(k, k)))
+        return np.einsum("iab,imn->ambn", dual, tmp).reshape(m * k, m * k)
+
+    def polar(g):
+        w, _, vh = np.linalg.svd(g)
+        return w @ vh
+
+    starts = [np.eye(m * k, dtype=complex)]
+    for r in rep:
+        starts.append(np.kron(r / np.linalg.norm(r, 2), np.eye(k)))
+    rng = np.random.default_rng(seed)
+    for _ in range(extra_starts):
+        z = rng.standard_normal((m * k, m * k)) + 1j * rng.standard_normal((m * k, m * k))
+        starts.append(polar(z))
+    best = 0.0
+    for x in starts:
+        prev = -np.inf
+        for _ in range(max_iter):
+            w, s, vh = np.linalg.svd(apply(x))
+            val = s[0]
+            if val <= prev * (1.0 + rtol) + 1e-300:
+                val = max(val, prev)
+                break
+            prev = val
+            x = polar(functional(w[:, 0], np.conjugate(vh[0, :])))
+        best = max(best, val)
+    return best

@@ -40,6 +40,43 @@ def test_s4_axiom_suite(build):
     assert report.max_residual <= AXIOM_TOL, report.first_failure()
 
 
+def _block_sizes(mats):
+    """Sizes of the finest block-diagonal split that the zero pattern of the stack shows."""
+    size = mats.shape[1]
+    cuts = [k for k in range(1, size) if not mats[:, :k, k:].any() and not mats[:, k:, :k].any()]
+    return list(np.diff([0, *cuts, size]))
+
+
+#: bialgebras beyond the conftest ones, up to the largest orders a config may name
+LARGE_BIALGEBRAS = {
+    "group-s4": lambda: build_group_algebra(symmetric_group(4)),
+    "function-s4": lambda: build_function_algebra(symmetric_group(4)),
+    "group-z64": lambda: build_group_algebra(cyclic_group(64)),
+    "function-z64": lambda: build_function_algebra(cyclic_group(64)),
+}
+
+
+@pytest.mark.parametrize("name", ["c_z2", "c_s3", "group_z2", "group_s3", *LARGE_BIALGEBRAS])
+def test_block_rep_holds_each_irreducible_block_once(request, name):
+    b = LARGE_BIALGEBRAS[name]() if name in LARGE_BIALGEBRAS else request.getfixturevalue(name)
+    rep = b.block_rep
+    # the defects of b.homomorphism_defects, one row of products at a time
+    # (that method holds all dim^2 products at once, 270 MB at dim 64)
+    product = max(np.max(np.abs(rep[i] @ rep - np.tensordot(b.mult[i], rep, axes=1))) for i in range(b.dim))
+    star = np.conjugate(np.swapaxes(rep, 1, 2)) - np.einsum("ij,jab->iab", b.invol, rep)
+    unit = np.einsum("i,iab->ab", b.unit, rep) - np.eye(rep.shape[1])
+    assert max(product, np.max(np.abs(star)), np.max(np.abs(unit))) <= 1e-12
+    gram = np.einsum("iab,jab->ij", np.conjugate(rep), rep)
+    assert np.linalg.matrix_rank(gram) == b.dim
+    sizes = _block_sizes(rep)
+    assert sum(d * d for d in sizes) == b.dim
+    expected = {"group_s3": [1, 1, 2], "group-s4": [1, 1, 2, 3, 3]}
+    if name in expected:
+        assert sorted(sizes) == expected[name]
+    elif b.is_commutative():
+        assert sizes == [1] * b.dim
+
+
 def test_residuals_match_loop_oracle(all_bialgebras):
     for b in all_bialgebras:
         assert coassoc_residual(b.coproduct) < AXIOM_TOL

@@ -1,13 +1,17 @@
 import numpy as np
+import pytest
 
-from qwalklab import OperatorMap, amplified_norm, sampled_lower_bound, structure_map_from_pair
+from qwalklab import OperatorMap, amplified_norm, build_walk, sampled_lower_bound, structure_map_from_pair
 from qwalklab.cbnorm import AmplifiedMap
+from qwalklab.structure_maps import gap_map
+
+from .oracles import serial_amplified_norm
 
 
 def test_dual_basis_pairs_to_identity(all_bialgebras):
     for b in all_bialgebras:
         amap = AmplifiedMap(OperatorMap(b, b.rep))
-        gram = np.einsum("iab,jab->ij", np.conjugate(amap.dual), b.rep)
+        gram = np.einsum("iab,jab->ij", np.conjugate(amap.dual), amap.rep)
         assert np.max(np.abs(gram - np.eye(b.dim))) < 1e-10
 
 
@@ -15,7 +19,7 @@ def test_expectation_fixes_the_subalgebra(group_s3):
     amap = AmplifiedMap(OperatorMap(group_s3, group_s3.rep), amp=2)
     rng = np.random.default_rng(7)
     c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    x = np.kron(group_s3.rep[3], c)
+    x = np.kron(amap.rep[3], c)
     assert np.max(np.abs(amap.expect(x) - x)) < 1e-12
 
 
@@ -80,3 +84,26 @@ def test_amplification_beyond_target_dim_adds_nothing(c_z2, c_z2_eval_triple):
     more = amplified_norm(phi, amp=phi.dim + 2)
     assert more <= base * (1.0 + 1e-9)
     assert more >= base * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("triple_name", ["z2_sign_triple", "c_z2_eval_triple", "s3_regular_triple", "s3_cp_triple"])
+def test_batched_ascent_on_blocks_matches_serial_oracle(request, triple_name):
+    # the oracle climbs from one start at a time on the representation as given
+    triple = request.getfixturevalue(triple_name)
+    chi = triple.source.counit
+    phi = structure_map_from_pair(triple, chi)
+    for k in range(2, 7):
+        h = 2.0**-k
+        theta = gap_map(phi, build_walk(triple, chi, h), chi, h)
+        expected = serial_amplified_norm(theta.mats, triple.source.rep)
+        assert abs(amplified_norm(theta) - expected) <= 1e-12 * expected
+
+
+def test_batched_ascent_matches_serial_oracle_on_random_maps(all_bialgebras):
+    # unlike the gap maps, these have ascent starts that stall below the maximum
+    rng = np.random.default_rng(5)
+    for b in all_bialgebras:
+        for k in (2, 3):
+            theta = OperatorMap(b, rng.standard_normal((b.dim, k, k)) + 1j * rng.standard_normal((b.dim, k, k)))
+            expected = serial_amplified_norm(theta.mats, b.rep)
+            assert abs(amplified_norm(theta) - expected) <= 1e-10 * expected

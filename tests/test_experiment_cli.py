@@ -269,6 +269,11 @@ MALFORMED_FIELDS = [
     ("probes", ("probes",), []),
     ("sweep", ("sweep",), {"h0": 0.25, "ratio": 0.999999, "count": 1000000}),
     ("sweep", ("sweep",), {"h0": 0.25, "ratio": 0.5, "count": 2.7}),
+    ("probes", ("probes",), [1.9]),
+    ("compatibility_depth", ("compatibility_depth",), 2.5),
+    ("noise_dim", ("noise_dim",), 1.5),
+    ("dimension_cap", ("dimension_cap",), 64.5),
+    ("identity_h", ("identity_h",), [0.1] * 100_000),
 ]
 
 
