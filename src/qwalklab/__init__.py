@@ -15,13 +15,8 @@ from .bialgebra import (
     save_bialgebra,
     verify_bialgebra,
 )
-from .cbnorm import amplified_norm, sampled_lower_bound
-from .cocycle import (
-    CocycleEvaluator,
-    GeneratorMismatch,
-    assoc_generator,
-    cross_validate_against_walk,
-)
+from .cbnorm import amplified_norm
+from .cocycle import CocycleEvaluator, assoc_generator
 from .convolution import (
     ConvolutionSemigroup,
     DimensionCapExceeded,
@@ -31,7 +26,6 @@ from .convolution import (
     convolve,
     convolve_functionals,
     lift,
-    mult_convolve,
 )
 from .experiment import ConfigError, ExperimentConfig, run_sweep, run_verify, write_demo
 from .fock import (
@@ -40,8 +34,6 @@ from .fock import (
     StepFunction,
     step_function_from_payload,
     step_function_to_payload,
-    step_hat_vectors,
-    toy_matrix_element,
     walk_matrix_element,
 )
 from .groups import FiniteGroup, GroupTableError, cyclic_group, symmetric_group
@@ -52,7 +44,6 @@ from .structure_maps import (
     NotStructureMapError,
     OperatorMap,
     extract_implementing_pair,
-    generator_gap,
     structure_map_from_pair,
     verify_cp_decomposition,
     verify_structure_relation,
@@ -79,11 +70,8 @@ __all__ = [
     "save_bialgebra",
     "verify_bialgebra",
     "amplified_norm",
-    "sampled_lower_bound",
     "CocycleEvaluator",
-    "GeneratorMismatch",
     "assoc_generator",
-    "cross_validate_against_walk",
     "ConvolutionSemigroup",
     "DimensionCapExceeded",
     "check_compatibility",
@@ -92,7 +80,6 @@ __all__ = [
     "convolve",
     "convolve_functionals",
     "lift",
-    "mult_convolve",
     "ConfigError",
     "ExperimentConfig",
     "run_sweep",
@@ -103,8 +90,6 @@ __all__ = [
     "StepFunction",
     "step_function_from_payload",
     "step_function_to_payload",
-    "step_hat_vectors",
-    "toy_matrix_element",
     "walk_matrix_element",
     "FiniteGroup",
     "GroupTableError",
@@ -116,7 +101,6 @@ __all__ = [
     "NotStructureMapError",
     "OperatorMap",
     "extract_implementing_pair",
-    "generator_gap",
     "structure_map_from_pair",
     "verify_cp_decomposition",
     "verify_structure_relation",

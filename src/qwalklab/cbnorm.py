@@ -21,22 +21,21 @@ given an input X, take the top singular pair (u, v) of the output; given
 (u, v), the linear functional X -> <u, Theta(X) v> is represented by a
 matrix G and the unit-ball maximizer is the unitary polar factor of G.
 Both half-steps are exact, so the objective is nondecreasing and every
-accepted value is a certified lower bound; random sampling cross-checks
-are advisory only.  Neither half-step depends on the representation, so
-a start that is an element of B ascends through the same elements of B
-on the blocks as on rep.  All starts ascend together as one stack: each
-round applies the map, takes the top singular pairs, forms the
-functionals and takes their polar factors once for the starts still
-climbing.
+accepted value is a certified lower bound.  Neither half-step depends
+on the representation, so a start that is an element of B ascends
+through the same elements of B on the blocks as on rep.  All starts
+ascend together as one stack: each round applies the map, takes the
+top singular pairs, forms the functionals and takes their polar factors
+once for the starts still climbing.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import opnorm, opnorms, polar_unitary, top_singular_triple
+from .linalg import opnorm, polar_unitary, top_singular_triple
 from .structure_maps import OperatorMap
 
-__all__ = ["AmplifiedMap", "amplified_norm", "sampled_lower_bound"]
+__all__ = ["AmplifiedMap", "amplified_norm"]
 
 
 class AmplifiedMap:
@@ -124,25 +123,3 @@ def amplified_norm(
         x = polar_unitary(amap.functional_matrix(u[climbing], v[climbing]))
     return best
 
-
-def sampled_lower_bound(
-    theta: OperatorMap, n_samples: int = 10_000, seed: int = 12345, amp: int | None = None
-) -> float:
-    """Advisory brute-force bound: max ||Theta(X)|| over random unit-norm X.
-
-    Fixed seed for reproducibility; by construction this never exceeds
-    the amplified norm, so it cross-checks amplified_norm from below.
-    """
-    amap = AmplifiedMap(theta, amp)
-    rng = np.random.default_rng(seed)
-    n = amap.in_dim
-    best = 0.0
-    batch = 250
-    remaining = n_samples
-    while remaining > 0:
-        take = min(batch, remaining)
-        remaining -= take
-        z = rng.standard_normal((take, n, n)) + 1j * rng.standard_normal((take, n, n))
-        z /= np.maximum(opnorms(z), 1e-300)[:, None, None]
-        best = max(best, float(np.max(opnorms(amap.apply(z)))))
-    return best

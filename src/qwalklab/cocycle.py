@@ -19,27 +19,14 @@ fock._piecewise_product, the loop that also evaluates the walk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .convolution import ConvolutionSemigroup
-from .fock import GridSpec, StepFunction, _piecewise_product, walk_matrix_element
+from .fock import StepFunction, _piecewise_product
 from .linalg import as_complex_array
-from .structure_maps import ImplementingTriple, OperatorMap, structure_map_from_pair
-from .walk import build_walk
+from .structure_maps import OperatorMap
 
-__all__ = [
-    "GeneratorMismatch",
-    "assoc_generator",
-    "CocycleEvaluator",
-    "CrossValidationRow",
-    "cross_validate_against_walk",
-]
-
-
-class GeneratorMismatch(ValueError):
-    """The supplied generator does not come from the supplied triple."""
+__all__ = ["assoc_generator", "CocycleEvaluator"]
 
 
 def assoc_generator(phi: OperatorMap, c, d) -> np.ndarray:
@@ -75,55 +62,3 @@ class CocycleEvaluator:
             return ConvolutionSemigroup(self.source, assoc_generator(self.phi, c, d)).at(duration)
 
         return _piecewise_product(self.source, b_coeffs, f, g, t, exponential)
-
-
-@dataclass(frozen=True)
-class CrossValidationRow:
-    h: float
-    n_steps: int
-    walk_value: complex
-    cocycle_value: complex
-
-    @property
-    def error(self) -> float:
-        return abs(self.walk_value - self.cocycle_value)
-
-
-def cross_validate_against_walk(
-    phi: OperatorMap,
-    triple: ImplementingTriple,
-    b_coeffs,
-    f: StepFunction,
-    g: StepFunction,
-    t: float,
-    h_list,
-    chi=None,
-    generator_tol: float = 1e-10,
-) -> list[CrossValidationRow]:
-    """Walk matrix elements against the cocycle limit over a list of step lengths.
-
-    Refuses to run if phi does not match the generator rebuilt from the
-    triple (so walks and limit provably belong to the same object).
-    """
-    chi = phi.source.counit if chi is None else as_complex_array(chi)
-    mismatch = structure_map_from_pair(triple, chi).distance(phi)
-    if mismatch > generator_tol:
-        raise GeneratorMismatch(
-            f"generator rebuilt from the triple differs from phi by {mismatch:.3e} "
-            f"(tolerance {generator_tol:g})"
-        )
-    evaluator = CocycleEvaluator(phi)
-    limit = evaluator.matrix_element(b_coeffs, f, g, t)
-    rows = []
-    for h in sorted({float(h) for h in h_list}, reverse=True):
-        psi = build_walk(triple, chi, h)
-        walk_value = walk_matrix_element(psi, b_coeffs, f, g, t, h)
-        rows.append(
-            CrossValidationRow(
-                h=h,
-                n_steps=GridSpec.from_time(t, h).n,
-                walk_value=walk_value,
-                cocycle_value=limit,
-            )
-        )
-    return rows

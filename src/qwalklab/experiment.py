@@ -28,6 +28,8 @@ from .cocycle import CocycleEvaluator, assoc_generator
 from .convolution import (
     DEFAULT_DIMENSION_CAP,
     ConvolutionSemigroup,
+    DimensionCapExceeded,
+    _check_lifted,
     check_compatibility,
     convolve_functionals,
 )
@@ -370,6 +372,10 @@ class ExperimentConfig:
         depth = _read(payload, "compatibility_depth", _integer, 3)
         if depth < 0:
             raise ConfigError(f"invalid 'compatibility_depth': {depth} is negative")
+        try:
+            _check_lifted(b.dim, noise_dim + 1, depth)
+        except DimensionCapExceeded as exc:
+            raise ConfigError(f"invalid 'compatibility_depth': {exc}") from exc
         cap = _read(payload, "dimension_cap", _integer, DEFAULT_DIMENSION_CAP)
         if (noise_dim + 1) ** depth > cap:
             raise ConfigError(
@@ -531,20 +537,21 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     return RunResult(report=report, passed=passed)
 
 
-def _probe_label(pair_idx: int, t: float, probe: int) -> str:
-    return f"p{pair_idx}_t{t:g}_b{probe}"
+def _probe_points(config: ExperimentConfig):
+    """(label, f, g, t, probe) for every pair, then sample time, then probe."""
+    for k, (f, g) in enumerate(config.pairs):
+        for t in config.sample_times:
+            for probe in config.probes:
+                yield f"p{k}_t{t:g}_b{probe}", f, g, t, probe
 
 
 def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, complex], h: float) -> dict:
     psi = build_walk(config.triple, config.chi, h)
     gap = amplified_norm(gap_map(phi, psi, config.chi, h))
-    errors = {}
-    for k, (f, g) in enumerate(config.pairs):
-        for t in config.sample_times:
-            for probe in config.probes:
-                label = _probe_label(k, t, probe)
-                walk_val = walk_matrix_element(psi, probe, f, g, t, h)
-                errors[label] = abs(walk_val - limits[label])
+    errors = {
+        label: abs(walk_matrix_element(psi, probe, f, g, t, h) - limits[label])
+        for label, f, g, t, probe in _probe_points(config)
+    }
     return {
         "h": h,
         "n_steps": GridSpec.from_time(max(config.sample_times), h).n,
@@ -561,11 +568,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
     """
     phi = config.generator()
     evaluator = CocycleEvaluator(phi)
-    limits: dict[str, complex] = {}
-    for k, (f, g) in enumerate(config.pairs):
-        for t in config.sample_times:
-            for probe in config.probes:
-                limits[_probe_label(k, t, probe)] = evaluator.matrix_element(probe, f, g, t)
+    limits = {label: evaluator.matrix_element(probe, f, g, t) for label, f, g, t, probe in _probe_points(config)}
     rows = [_sweep_row(config, phi, limits, h) for h in config.h_values]
     max_errors = [row["max_error"] for row in rows]
     tail = max(2, -(-len(rows) // 2))

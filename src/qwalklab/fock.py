@@ -16,9 +16,8 @@ cells.  The walk and its cocycle limit share one loop,
 _piecewise_product, which joins one functional per piece left to right
 and multiplies by the tail factor; only the factor of a piece differs
 (lambda^{*m} here, exp_*(D phi_{c,d}) in cocycle.py).  The
-(d+1)^n-dimensional iterate is never materialized.  The materialized
-route (toy_matrix_element composed with convolution_iterates) agrees
-and is used as a cross-check at small n.
+(d+1)^n-dimensional iterate is never materialized; the materialized
+route, a Kronecker oracle in tests/oracles.py, checks it at small n.
 """
 from __future__ import annotations
 
@@ -35,9 +34,7 @@ __all__ = [
     "PartitionMismatch",
     "StepFunction",
     "GridSpec",
-    "toy_matrix_element",
     "walk_matrix_element",
-    "step_hat_vectors",
     "step_function_to_payload",
     "step_function_from_payload",
 ]
@@ -146,9 +143,6 @@ class GridSpec:
             raise ValueError("step length h must be positive")
         return cls(h=h, n=int(np.floor(t / h + ALIGN_RTOL)))
 
-    def cell_start(self, j: int) -> float:
-        return (j - 1) * self.h
-
 
 def _on_grid(t: float, h: float) -> bool:
     ratio = t / h
@@ -162,39 +156,6 @@ def _validate_alignment(f: StepFunction, grid: GridSpec):
                 f"step-function breakpoint {t:g} is not a multiple of h = {grid.h:g}; "
                 "the grid must refine the step partition"
             )
-
-
-def step_hat_vectors(f: StepFunction, grid: GridSpec) -> np.ndarray:
-    """Rows (1, h^{1/2} f_j) for cells j = 1..n: the embedded exponential factors."""
-    _validate_alignment(f, grid)
-    out = np.empty((grid.n, f.noise_dim + 1), dtype=complex)
-    root_h = np.sqrt(grid.h)
-    for j in range(1, grid.n + 1):
-        mid = grid.cell_start(j) + 0.5 * grid.h
-        out[j - 1, 0] = 1.0
-        out[j - 1, 1:] = root_h * f.value_at(mid)
-    return out
-
-
-def toy_matrix_element(a_matrix, f: StepFunction, g: StepFunction, grid: GridSpec) -> complex:
-    """<eps(f), (D A D* (x) I) eps(g)> for A on the n-fold hat-space power.
-
-    D embeds the n hat-space factors onto the first n cells of the grid;
-    beyond the horizon the ambient exponential vectors contribute the
-    scalar tail exp(integral_{nh} <f, g>).
-    """
-    a_matrix = as_complex_array(a_matrix)
-    dim = (f.noise_dim + 1) ** grid.n
-    if a_matrix.shape != (dim, dim):
-        raise ValueError(f"operator has shape {a_matrix.shape}, expected ({dim}, {dim})")
-    u = step_hat_vectors(f, grid)
-    v = step_hat_vectors(g, grid)
-    left = np.array([1.0 + 0.0j])
-    right = np.array([1.0 + 0.0j])
-    for j in range(grid.n):
-        left = np.kron(left, u[j])
-        right = np.kron(right, v[j])
-    return complex(np.vdot(left, a_matrix @ right) * np.exp(f.overlap(g, a=grid.horizon)))
 
 
 def walk_matrix_element(

@@ -42,7 +42,6 @@ __all__ = [
     "cp_block_matrix",
     "scaling_matrix",
     "scaling_conjugation",
-    "generator_gap",
 ]
 
 
@@ -233,7 +232,7 @@ def verify_structure_relation(phi: OperatorMap, chi) -> float:
     rhs = (
         np.einsum("iab,j->ijab", adj, chi)
         + np.einsum("i,jab->ijab", np.conjugate(chi), mats)
-        + np.einsum("iab,bc,jcd->ijad", adj, qs, mats)
+        + np.einsum("iab,bc,jcd->ijad", adj, qs, mats, optimize=True)
     )
     return float(np.max(opnorms((lhs - rhs).reshape(-1, phi.dim, phi.dim))))
 
@@ -404,9 +403,3 @@ def gap_map(phi: OperatorMap, psi: OperatorMap, chi, h: float) -> OperatorMap:
     chi_map = OperatorMap.scalar_identity(psi.source, chi, psi.dim)
     return phi - scaling_conjugation(psi - chi_map, h)
 
-
-def generator_gap(phi: OperatorMap, psi: OperatorMap, chi, h: float) -> float:
-    """Surrogate cb-norm of the gap map phi - D_h (psi - chi(.)I) D_h."""
-    from .cbnorm import amplified_norm
-
-    return amplified_norm(gap_map(phi, psi, chi, h))

@@ -1,8 +1,8 @@
 """Naive reference implementations used to cross-check the vectorized code.
 
 Everything here is written with explicit Python loops and no shared code
-with the package, so agreement is meaningful.  Slow on purpose; only run
-on small inputs.
+with the package (the Fock oracles only read step-function values), so
+agreement is meaningful.  Slow on purpose; only run on small inputs.
 """
 import numpy as np
 
@@ -118,14 +118,28 @@ def walk_unitary(xi, h):
     return u
 
 
-def toy_element(a_matrix, hat_us, hat_vs):
-    """<u_1 x ... x u_n, A (v_1 x ... x v_n)> with an explicit Kronecker."""
+def step_hat_vectors(f, grid):
+    """Rows (1, h^{1/2} f_j) for cells j = 1..n, f_j the value of f at the cell's midpoint."""
+    out = np.empty((grid.n, f.noise_dim + 1), dtype=complex)
+    for j in range(grid.n):
+        out[j, 0] = 1.0
+        out[j, 1:] = np.sqrt(grid.h) * f.value_at(j * grid.h + 0.5 * grid.h)
+    return out
+
+
+def toy_matrix_element(a_matrix, f, g, grid):
+    """<eps(f), (D A D* (x) I) eps(g)> with an explicit Kronecker product per cell.
+
+    D embeds the n hat-space factors onto the first n cells of the grid;
+    beyond the horizon the exponential vectors contribute the scalar tail
+    exp(integral_{nh} <f, g>).
+    """
     lhs = np.array([1.0 + 0.0j])
     rhs = np.array([1.0 + 0.0j])
-    for u, v in zip(hat_us, hat_vs):
+    for u, v in zip(step_hat_vectors(f, grid), step_hat_vectors(g, grid)):
         lhs = np.kron(lhs, u)
         rhs = np.kron(rhs, v)
-    return np.vdot(lhs, a_matrix @ rhs)
+    return complex(np.vdot(lhs, a_matrix @ rhs) * np.exp(f.overlap(g, a=grid.horizon)))
 
 
 def functional_transfer_matrix(coproduct, psi_vec):
@@ -138,6 +152,37 @@ def functional_transfer_matrix(coproduct, psi_vec):
     return t
 
 
+def operator_transfer_matrix(coproduct, psi_vals):
+    """(id x psi) o Delta on B x M_K coefficients: b_i x Y -> sum_j b_j x block_ij Y.
+
+    block_ij = sum_k Delta_i^{jk} psi(b_k); rows and columns run over
+    (basis index, matrix row, matrix column).
+    """
+    n = coproduct.shape[0]
+    k = psi_vals.shape[1]
+    size = k * k
+    t = np.zeros((n * size, n * size), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            block = sum(coproduct[i, j, l] * psi_vals[l] for l in range(n))
+            t[j * size:(j + 1) * size, i * size:(i + 1) * size] = np.kron(block, np.eye(k))
+    return t
+
+
+def _dual_basis(rep):
+    """g_i in span(rep) with <g_i, rep_j>_HS = delta_ij."""
+    gram = np.einsum("iab,jab->ij", np.conjugate(rep), rep)
+    return np.einsum("ik,kab->iab", np.conjugate(np.linalg.inv(gram)), rep)
+
+
+def _apply_amplified(theta_mats, dual, x):
+    """(theta x id_{M_K}) of the Hilbert-Schmidt expectation of X onto rep(B) x M_K; X may be a stack."""
+    _, m, _ = dual.shape
+    k = theta_mats.shape[1]
+    c = np.einsum("iab,...ambn->...imn", np.conjugate(dual), x.reshape(x.shape[:-2] + (m, k, m, k)))
+    return np.einsum("iab,...imn->...ambn", theta_mats, c).reshape(x.shape[:-2] + (k * k, k * k))
+
+
 def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e-13, seed=0):
     """||theta (x) id_{M_K}|| by alternating ascent on the representation rep as given.
 
@@ -146,14 +191,9 @@ def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e
     Inputs are pressed through the Hilbert-Schmidt expectation onto
     rep(B) (x) M_K before theta is applied.
     """
-    n, m, _ = rep.shape
+    _, m, _ = rep.shape
     k = theta_mats.shape[1]
-    gram = np.einsum("iab,jab->ij", np.conjugate(rep), rep)
-    dual = np.einsum("ik,kab->iab", np.conjugate(np.linalg.inv(gram)), rep)
-
-    def apply(x):
-        c = np.einsum("iab,ambn->imn", np.conjugate(dual), x.reshape(m, k, m, k))
-        return np.einsum("iab,imn->ambn", theta_mats, c).reshape(k * k, k * k)
+    dual = _dual_basis(rep)
 
     def functional(u, v):
         tmp = np.einsum("km,ikl,ln->imn", u.reshape(k, k), np.conjugate(theta_mats), np.conjugate(v.reshape(k, k)))
@@ -174,7 +214,7 @@ def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e
     for x in starts:
         prev = -np.inf
         for _ in range(max_iter):
-            w, s, vh = np.linalg.svd(apply(x))
+            w, s, vh = np.linalg.svd(_apply_amplified(theta_mats, dual, x))
             val = s[0]
             if val <= prev * (1.0 + rtol) + 1e-300:
                 val = max(val, prev)
@@ -183,3 +223,18 @@ def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e
             x = polar(functional(w[:, 0], np.conjugate(vh[0, :])))
         best = max(best, val)
     return best
+
+
+def sampled_lower_bound(theta_mats, rep, n_samples, seed=12345):
+    """max ||(theta x id_{M_K})(E(X))|| over seeded random X of operator norm 1.
+
+    E is the Hilbert-Schmidt expectation onto rep(B) x M_K, which is
+    contractive, so this never exceeds the amplified norm.
+    """
+    _, m, _ = rep.shape
+    k = theta_mats.shape[1]
+    dual = _dual_basis(rep)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_samples, m * k, m * k)) + 1j * rng.standard_normal((n_samples, m * k, m * k))
+    z /= np.linalg.norm(z, 2, axis=(-2, -1))[:, None, None]
+    return float(np.max(np.linalg.norm(_apply_amplified(theta_mats, dual, z), 2, axis=(-2, -1))))

@@ -30,7 +30,7 @@ from qwalklab import (
     write_demo,
 )
 from qwalklab.convolution import ConvolutionSemigroup
-from qwalklab.structure_maps import cp_block_matrix, generator_gap
+from qwalklab.structure_maps import cp_block_matrix, gap_map
 
 from .test_structure_maps import triples_for
 
@@ -115,7 +115,7 @@ def test_criterion_4_generator_convergence(
         gaps = []
         for h in DYADIC_H:
             psi = build_walk(triple, b.counit, h)
-            gap = generator_gap(phi, psi, b.counit, h)
+            gap = amplified_norm(gap_map(phi, psi, b.counit, h))
             c_h = build_unitary(triple.xi, h).c_h
             r = h / (1.0 + c_h)
             bound = r * n1 + r**2 * n2

@@ -12,6 +12,7 @@ from qwalklab import (
 )
 from qwalklab.bialgebra import bialgebra_from_payload, bialgebra_to_payload
 from qwalklab.groups import cyclic_group, symmetric_group, symmetric_sign_character
+from qwalklab.structure_maps import _star_product_tensor
 
 from .oracles import coassoc_residual, counit_residual
 
@@ -191,13 +192,13 @@ def test_payload_rejects_shape_mismatch(c_z2):
 
 
 def test_star_product_matches_direct_computation(group_s3):
-    # (b_i)* b_j expanded through invol then mult
+    # (b_i)* b_j expanded through invol then mult, one basis pair at a time
     b = group_s3
-    direct = np.einsum("ik,kjl->ijl", b.invol, b.mult)
+    tensor = _star_product_tensor(b)
     for i in range(6):
         for j in range(6):
-            coeffs = b.star_product_basis(i, j)
-            assert np.allclose(coeffs, direct[i, j], atol=1e-14)
+            direct = sum(b.invol[i, k] * b.mult[k, j] for k in range(6))
+            assert np.allclose(tensor[i, j], direct, atol=1e-14)
 
 
 def test_group_algebra_involution_inverse_permutation(s3, group_s3):

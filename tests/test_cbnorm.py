@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qwalklab import OperatorMap, amplified_norm, build_walk, sampled_lower_bound, structure_map_from_pair
+from qwalklab import OperatorMap, amplified_norm, build_walk, structure_map_from_pair
 from qwalklab.cbnorm import AmplifiedMap
 from qwalklab.structure_maps import gap_map
 
-from .oracles import serial_amplified_norm
+from .oracles import sampled_lower_bound, serial_amplified_norm
 
 
 def test_dual_basis_pairs_to_identity(all_bialgebras):
@@ -74,7 +74,7 @@ def test_scaling_homogeneity(c_z2, c_z2_eval_triple):
 def test_sampled_bound_never_exceeds_surrogate(group_s3, s3_regular_triple):
     phi = structure_map_from_pair(s3_regular_triple, group_s3.counit)
     surrogate = amplified_norm(phi)
-    sampled = sampled_lower_bound(phi, n_samples=800)
+    sampled = sampled_lower_bound(phi.mats, group_s3.rep, n_samples=800)
     assert 0.0 < sampled <= surrogate * (1.0 + 1e-9)
 
 

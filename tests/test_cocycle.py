@@ -5,17 +5,21 @@ from qwalklab import (
     CocycleEvaluator,
     ConvolutionSemigroup,
     ExperimentConfig,
-    GeneratorMismatch,
-    ImplementingTriple,
     StepFunction,
     assoc_generator,
+    build_walk,
     convolve_functionals,
-    cross_validate_against_walk,
     structure_map_from_pair,
+    walk_matrix_element,
 )
 from qwalklab.experiment import _demo_payload
 
 from .test_structure_maps import two_character_triple
+
+
+def walk_values(triple, chi, b, f, g, t, hs):
+    """The walk's matrix element at each step length, as run_sweep evaluates it."""
+    return np.array([walk_matrix_element(build_walk(triple, chi, h), b, f, g, t, h) for h in hs])
 
 
 @pytest.fixture()
@@ -137,35 +141,20 @@ def test_trotter_product_oracle(c_z2, c_z2_eval_triple):
 def test_cross_validation_errors_shrink(group_z2, z2_sign_triple, z2_phi):
     f = StepFunction.constant([0.5], 1.0)
     g = StepFunction.constant([0.25], 1.0)
-    rows = cross_validate_against_walk(
-        z2_phi, z2_sign_triple, 1, f, g, 1.0, [0.25 * 2**-k for k in range(5)]
-    )
-    assert [r.h for r in rows] == sorted([r.h for r in rows], reverse=True)
-    assert [r.n_steps for r in rows] == [4, 8, 16, 32, 64]
-    errors = [r.error for r in rows]
+    limit = CocycleEvaluator(z2_phi).matrix_element(1, f, g, 1.0)
+    hs = [0.25 * 2**-k for k in range(5)]
+    errors = np.abs(walk_values(z2_sign_triple, group_z2.counit, 1, f, g, 1.0, hs) - limit)
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 0.1 * errors[0]
-
-
-def test_cross_validation_refuses_foreign_generator(group_z2, z2_sign_triple):
-    other = ImplementingTriple(
-        source=group_z2, pi=z2_sign_triple.pi, xi=np.array([0.7 + 0j])
-    )
-    phi_other = structure_map_from_pair(other, group_z2.counit)
-    f = StepFunction.constant([0.5], 1.0)
-    with pytest.raises(GeneratorMismatch):
-        cross_validate_against_walk(
-            phi_other, z2_sign_triple, 1, f, f, 1.0, [0.25]
-        )
 
 
 def test_walk_error_is_first_order(group_z2, z2_sign_triple, z2_phi):
     f = StepFunction.constant([0.5], 1.0)
     g = StepFunction.constant([-0.2], 1.0)
     hs = [1.0 / 2**k for k in range(3, 8)]
-    rows = cross_validate_against_walk(z2_phi, z2_sign_triple, 1, f, g, 1.0, hs)
-    errs = np.array([r.error for r in rows])
-    slope = np.polyfit(np.log([r.h for r in rows]), np.log(errs), 1)[0]
+    limit = CocycleEvaluator(z2_phi).matrix_element(1, f, g, 1.0)
+    errs = np.abs(walk_values(z2_sign_triple, group_z2.counit, 1, f, g, 1.0, hs) - limit)
+    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 0.8 < slope < 1.2
 
 
@@ -174,15 +163,14 @@ def test_walk_error_stays_first_order_at_depth(tmp_path, name):
     # h = 2^-20 puts about a million cells in each unit of time; the largest
     # error over pairs, times and probes must still shrink in proportion to h
     config = ExperimentConfig.from_payload(_demo_payload(name), tmp_path)
-    phi = config.generator()
+    evaluator = CocycleEvaluator(config.generator())
     worst = np.zeros(2)
     for f, g in config.pairs:
         for t in config.sample_times:
             for probe in config.probes:
-                rows = cross_validate_against_walk(
-                    phi, config.triple, probe, f, g, t, [2**-11, 2**-20], chi=config.chi
-                )
-                worst = np.maximum(worst, [r.error for r in rows])
+                limit = evaluator.matrix_element(probe, f, g, t)
+                values = walk_values(config.triple, config.chi, probe, f, g, t, [2**-11, 2**-20])
+                worst = np.maximum(worst, np.abs(values - limit))
     assert worst[1] == pytest.approx(2**-9 * worst[0], rel=0.05)
 
 
@@ -194,9 +182,8 @@ def test_richardson_extrapolation_is_second_order(group_z2, z2_sign_triple, z2_p
     ev = CocycleEvaluator(z2_phi)
     limit = ev.matrix_element(1, f, g, 1.0)
     hs = [1.0 / 2**k for k in range(3, 8)]
-    rows = cross_validate_against_walk(z2_phi, z2_sign_triple, 1, f, g, 1.0, hs + [hs[-1] / 2])
-    values = {r.h: r.walk_value for r in rows}
+    steps = hs + [hs[-1] / 2]
+    values = dict(zip(steps, walk_values(z2_sign_triple, group_z2.counit, 1, f, g, 1.0, steps)))
     rich_errs = [abs(2.0 * values[h / 2] - values[h] - limit) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(rich_errs), 1)[0]
     assert 1.7 < slope < 2.3
-

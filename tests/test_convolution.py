@@ -10,9 +10,11 @@ from qwalklab import (
     convolution_iterates,
     convolve,
     convolve_functionals,
+    composition_iterates,
     lift,
-    mult_convolve,
 )
+
+from qwalklab.convolution import MAX_LIFTED_ENTRIES
 
 from .oracles import convolution_power, convolve_maps, functional_transfer_matrix
 
@@ -116,6 +118,17 @@ def test_dimension_cap(group_z2):
         convolve(psi, psi, cap=3)
 
 
+def test_lifted_iterate_bound(group_z2):
+    # K^n = 2^12 passes the default cap, but the lift would hold 2^2 (2^12)^2 = 2^26 entries;
+    # both calls refuse before allocating anything
+    psi = random_map(group_z2, 2, 13)
+    assert group_z2.dim**2 * 2 ** (2 * 12) > MAX_LIFTED_ENTRIES
+    with pytest.raises(DimensionCapExceeded):
+        composition_iterates(lift(psi), 12)
+    with pytest.raises(DimensionCapExceeded):
+        check_compatibility(psi, 12)
+
+
 def test_lift_counit_contract_roundtrip(group_s3):
     psi = random_map(group_s3, 2, 14)
     assert lift(psi).counit_contract().distance(psi) < 1e-13
@@ -160,13 +173,3 @@ def test_exponential_derivative_at_zero(c_s3):
     central = (sg.at(delta) - sg.at(-delta)) / (2 * delta)
     assert np.max(np.abs(central - psi)) < 1e-8
 
-
-def test_operator_semigroup_law_and_start(group_z2, z2_sign_triple):
-    phi = build_walk(z2_sign_triple, group_z2.counit, 0.25) - OperatorMap.scalar_identity(
-        group_z2, group_z2.counit, 2
-    )
-    sg = ConvolutionSemigroup(group_z2, phi)
-    start = sg.at(0.0)
-    assert start.distance(OperatorMap.scalar_identity(group_z2, group_z2.counit, 2)) < 1e-13
-    law = mult_convolve(sg.at(0.3), sg.at(0.7))
-    assert law.distance(sg.at(1.0)) < 1e-11

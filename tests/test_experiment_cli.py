@@ -274,6 +274,7 @@ MALFORMED_FIELDS = [
     ("noise_dim", ("noise_dim",), 1.5),
     ("dimension_cap", ("dimension_cap",), 64.5),
     ("identity_h", ("identity_h",), [0.1] * 100_000),
+    ("compatibility_depth", ("compatibility_depth",), 12),
 ]
 
 

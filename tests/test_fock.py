@@ -10,12 +10,10 @@ from qwalklab import (
     convolution_iterates,
     step_function_from_payload,
     step_function_to_payload,
-    step_hat_vectors,
-    toy_matrix_element,
     walk_matrix_element,
 )
 
-from .oracles import toy_element
+from .oracles import step_hat_vectors, toy_matrix_element
 from .test_structure_maps import two_character_triple
 
 
@@ -80,13 +78,14 @@ def test_step_hat_vectors_closed_form():
     assert np.max(np.abs(u - expected)) < 1e-14
 
 
-def test_partition_mismatch_raises():
+def test_partition_mismatch_raises(group_z2, z2_sign_triple):
+    psi = build_walk(z2_sign_triple, group_z2.counit, 0.25)
     f = StepFunction.from_segments([(0.3, [1.0]), (0.7, [0.0])])
     with pytest.raises(PartitionMismatch):
-        step_hat_vectors(f, GridSpec(h=0.25, n=4))
+        walk_matrix_element(psi, 1, f, f, 1.0, 0.25)
     # breakpoints beyond the horizon are irrelevant
     g = StepFunction.from_segments([(0.5, [1.0]), (0.3, [0.0])])
-    step_hat_vectors(g, GridSpec(h=0.25, n=2))
+    walk_matrix_element(psi, 1, g, g, 0.5, 0.25)
 
 
 def test_identity_matrix_element_is_euler_product():
@@ -100,19 +99,6 @@ def test_identity_matrix_element_is_euler_product():
         prod *= 1.0 + 0.25 * np.vdot(f.value_at(mid), g.value_at(mid))
     tail = np.exp(f.overlap(g, a=1.0))
     assert abs(got - prod * tail) < 1e-13
-
-
-def test_toy_element_matches_kron_oracle():
-    f = two_piece()
-    g = StepFunction.constant([0.8 + 0.2j], 1.0)
-    grid = GridSpec(h=0.5, n=2)
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    got = toy_matrix_element(a, f, g, grid)
-    u = step_hat_vectors(f, grid)
-    v = step_hat_vectors(g, grid)
-    expected = toy_element(a, u, v) * np.exp(f.overlap(g, a=grid.horizon))
-    assert abs(got - expected) < 1e-13
 
 
 def test_walk_element_matches_materialized_route(group_z2, z2_sign_triple, c_s3):

@@ -5,6 +5,8 @@ from qwalklab import ConvolutionSemigroup, structure_map_from_pair
 from qwalklab.cocycle import assoc_generator
 from qwalklab.linalg import expm
 
+from .oracles import operator_transfer_matrix
+
 EXPM_RTOL = 1e-12
 TRIPLES = ("z2_sign_triple", "c_z2_eval_triple", "s3_regular_triple", "s3_cp_triple")
 
@@ -40,10 +42,13 @@ def test_expm_matches_reference_on_transfer_matrices(reference_expm, request, na
     c = np.full(triple.noise_dim, 0.7 - 0.2j)
     d = np.full(triple.noise_dim, 0.4 + 0.5j)
     # the operator-valued generator and the functional the cocycle limit exponentiates
-    for psi in (phi, assoc_generator(phi, c, d)):
-        transfer = ConvolutionSemigroup(b, psi).transfer
+    transfers = {
+        "operator": operator_transfer_matrix(b.coproduct, phi.mats),
+        "functional": ConvolutionSemigroup(b, assoc_generator(phi, c, d)).transfer,
+    }
+    for kind, transfer in transfers.items():
         for t in (0.3, 1.0, 10.0):
-            assert relative_error(t * transfer, reference_expm) <= EXPM_RTOL, (type(psi).__name__, t)
+            assert relative_error(t * transfer, reference_expm) <= EXPM_RTOL, (kind, t)
 
 
 def test_expm_of_zero_and_diagonal():
