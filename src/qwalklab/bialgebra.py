@@ -250,7 +250,7 @@ def verify_bialgebra(b: CounitalBialgebra, tol: float = 1e-12) -> BialgebraRepor
     )
     record(
         "coproduct_homomorphism",
-        np.einsum("ijk,kab->ijab", m, c)
+        np.einsum("ijk,kab->ijab", m, c, optimize=True)
         - np.einsum("ipq,jrs,prt,qsu->ijtu", c, c, m, m, optimize=True),
         np.einsum("ij,jab->iab", s, c)
         - np.einsum("iab,ap,bq->ipq", np.conjugate(c), s, s, optimize=True),

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import opnorm, polar_unitary, top_singular_triple
+from .linalg import opnorms, polar_unitary, top_singular_triple
 from .structure_maps import OperatorMap
 
 __all__ = ["AmplifiedMap", "amplified_norm"]
@@ -102,15 +102,15 @@ def amplified_norm(
     amap = AmplifiedMap(theta, amp)
     if float(np.max(np.abs(theta.mats))) == 0.0:
         return 0.0
-    starts = [np.eye(amap.in_dim, dtype=complex)]
+    norms = opnorms(amap.rep)
+    nonzero = norms > 0
+    unit = amap.rep[nonzero] / norms[nonzero, None, None]
     eye_amp = np.eye(amap.amp, dtype=complex)
-    for r in amap.rep:
-        nrm = opnorm(r)
-        if nrm > 0:
-            starts.append(np.kron(r / nrm, eye_amp))
+    # kron(rho_i / ||rho_i||, 1_amp) for every nonzero basis element at once
+    basis = (unit[:, :, None, :, None] * eye_amp[None, None, :, None, :]).reshape(-1, amap.in_dim, amap.in_dim)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((extra_starts, 2, amap.in_dim, amap.in_dim))
-    x = np.concatenate([np.stack(starts), polar_unitary(z[:, 0] + 1j * z[:, 1])])
+    x = np.concatenate([np.eye(amap.in_dim, dtype=complex)[None], basis, polar_unitary(z[:, 0] + 1j * z[:, 1])])
     prev = np.full(len(x), -np.inf)
     best = 0.0
     for _ in range(max_iter):

@@ -15,14 +15,18 @@ constant values c_k, d_k and
     phi_{c,d}(b) = <hat(c), phi(b) hat(d)> + <c, d> eps(b)
 
 is the associated-semigroup generator.  The product runs through
-fock._piecewise_product, the loop that also evaluates the walk.
+fock._piecewise_product, the loop that also evaluates the walk.  The
+probe b enters only the final dot product, so the functional is
+evaluated once per (f, g, t) and reused for the next probe: each
+CocycleEvaluator keeps its last row, keyed by f and g by identity and
+by t by value.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .convolution import ConvolutionSemigroup
-from .fock import StepFunction, _piecewise_product
+from .fock import StepFunction, _as_coeffs, _matches, _piecewise_product
 from .linalg import as_complex_array
 from .structure_maps import OperatorMap
 
@@ -46,9 +50,15 @@ class CocycleEvaluator:
         self.phi = phi
         self.source = phi.source
         self.hat = phi.hat
+        self._last = None
 
     def matrix_element(self, b_coeffs, f: StepFunction, g: StepFunction, t: float) -> complex:
-        """<eps(f), l_t(b) eps(g)>; b may be a basis index or coefficients."""
+        """<eps(f), l_t(b) eps(g)>; b may be a basis index or coefficients.
+
+        The checks run on every call; the convolution row and the tail are
+        reused from the previous call when f and g are the same objects and
+        t is the same.
+        """
         if t < 0:
             raise ValueError("time must be nonnegative")
         dim = self.hat.noise_dim
@@ -57,8 +67,13 @@ class CocycleEvaluator:
                 f"step functions have noise dimension {f.noise_dim}/{g.noise_dim}, "
                 f"generator expects {dim}"
             )
+        b_coeffs = _as_coeffs(self.source, b_coeffs)
 
         def exponential(c, d, duration):
             return ConvolutionSemigroup(self.source, assoc_generator(self.phi, c, d)).at(duration)
 
-        return _piecewise_product(self.source, b_coeffs, f, g, t, exponential)
+        key = (f, g), (t,)
+        entry = self._last
+        if not _matches(entry, *key):
+            entry = self._last = (*key, *_piecewise_product(self.source, f, g, t, exponential))
+        return complex(np.dot(entry[2], b_coeffs) * entry[3])

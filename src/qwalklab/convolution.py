@@ -84,7 +84,9 @@ def convolve(f: OperatorMap, g: OperatorMap, cap: int = DEFAULT_DIMENSION_CAP) -
     _check_cap(f.dim * g.dim, cap)
     out = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, f.mats, g.mats, optimize=True)
     k = f.dim * g.dim
-    return OperatorMap(b, out.reshape(b.dim, k, k))
+    out = out.reshape(b.dim, k, k)
+    out.setflags(write=False)  # fresh: OperatorMap keeps it without a copy
+    return OperatorMap(b, out)
 
 
 def convolve_functionals(b: CounitalBialgebra, f, g) -> np.ndarray:
@@ -129,7 +131,9 @@ class LiftedMap:
 
     def counit_contract(self) -> OperatorMap:
         """(eps (x) id) applied to the values; recovers an operator map."""
-        return OperatorMap(self.source, np.einsum("j,ijab->iab", self.source.counit, self.blocks))
+        mats = np.einsum("j,ijab->iab", self.source.counit, self.blocks)
+        mats.setflags(write=False)  # fresh: OperatorMap keeps it without a copy
+        return OperatorMap(self.source, mats)
 
 
 def lift(psi: OperatorMap) -> LiftedMap:
@@ -148,6 +152,7 @@ def composition_iterates(psi_lifted: LiftedMap, n: int, cap: int = DEFAULT_DIMEN
     out = LiftedMap(b, np.eye(b.dim, dtype=complex).reshape(b.dim, b.dim, 1, 1))
     for _ in range(n):
         merged = np.einsum("jlAB,ijab->ilAaBb", out.blocks, psi_lifted.blocks)
+        merged.setflags(write=False)  # fresh: LiftedMap keeps it without a copy
         k = out.dim * psi_lifted.dim
         out = LiftedMap(b, merged.reshape(b.dim, b.dim, k, k))
     return out

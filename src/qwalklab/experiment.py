@@ -539,6 +539,9 @@ def run_verify(config: ExperimentConfig) -> RunResult:
 
 def _probe_points(config: ExperimentConfig):
     """(label, f, g, t, probe) for every pair, then sample time, then probe."""
+    # The probes of one (pair, t) come in a row, so walk_matrix_element and
+    # CocycleEvaluator evaluate each functional once and read every probe
+    # from their last entry.
     for k, (f, g) in enumerate(config.pairs):
         for t in config.sample_times:
             for probe in config.probes:

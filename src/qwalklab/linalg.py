@@ -26,9 +26,17 @@ def as_complex_array(x) -> np.ndarray:
 
 
 def readonly(x) -> np.ndarray:
-    """Return a C-contiguous complex copy with the write flag cleared."""
-    arr = np.ascontiguousarray(x, dtype=complex)
-    arr.setflags(write=False)
+    """A read-only C-contiguous complex array.
+
+    A writable input is always copied, so later writes to the caller's
+    array cannot reach the result; an input that is already read-only,
+    complex and C-contiguous is returned as it is.  A producer that hands
+    over a fresh array clears its write flag first, which saves the copy.
+    """
+    arr = np.asarray(x)
+    if arr.flags.writeable or arr.dtype != complex or not arr.flags.c_contiguous:
+        arr = np.array(arr, dtype=complex, order="C")
+        arr.setflags(write=False)
     return arr
 
 

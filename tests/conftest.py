@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qwalklab import (
+    ExperimentConfig,
     ImplementingTriple,
     build_function_algebra,
     build_group_algebra,
     cyclic_group,
     symmetric_group,
 )
+from qwalklab.experiment import _demo_payload
 from qwalklab.groups import cyclic_character_table, symmetric_sign_character
 
 
@@ -79,3 +81,9 @@ def s3_cp_triple(group_s3):
         xi=xi.astype(complex),
         D=sign.reshape(6, 1).astype(complex),
     )
+
+
+@pytest.fixture(scope="session")
+def s3_demo_config(tmp_path_factory):
+    """The group-s3 demo: two step-function pairs, each with one inner breakpoint."""
+    return ExperimentConfig.from_payload(_demo_payload("group-s3"), tmp_path_factory.mktemp("group-s3"))

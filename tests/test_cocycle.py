@@ -14,6 +14,7 @@ from qwalklab import (
 )
 from qwalklab.experiment import _demo_payload
 
+from .test_fock import REUSE_TIMES, gray_order
 from .test_structure_maps import two_character_triple
 
 
@@ -61,6 +62,28 @@ def test_noise_dim_mismatch_rejected(z2_phi):
     f = StepFunction.constant([0.9, 0.1], 1.0)
     with pytest.raises(ValueError):
         CocycleEvaluator(z2_phi).matrix_element(0, f, f, 1.0)
+
+
+def test_limit_reuses_its_functional_only_under_the_same_key(s3_demo_config):
+    # each call changes one of f, g and t against the call before; every
+    # probe must equal, bit for bit, an evaluation by a new evaluator
+    config = s3_demo_config
+    phi = config.generator()
+    evaluator = CocycleEvaluator(phi)
+    (f0, g0), (f1, g1) = config.pairs
+    order = list(gray_order((f0, f1), (g0, g1), REUSE_TIMES))
+    got = [[evaluator.matrix_element(b, f, g, t) for b in config.probes] for f, g, t in order]
+    for (f, g, t), values in zip(order, got):
+        fresh = CocycleEvaluator(phi)
+        assert values == [fresh.matrix_element(b, f, g, t) for b in config.probes]
+
+
+def test_limit_checks_every_call_before_reuse(z2_phi):
+    evaluator = CocycleEvaluator(z2_phi)
+    f = StepFunction.constant([0.5], 1.0)
+    evaluator.matrix_element(1, f, f, 1.0)
+    with pytest.raises(ValueError, match="coefficients have shape"):
+        evaluator.matrix_element(np.ones(3), f, f, 1.0)
 
 
 def test_fake_breakpoint_changes_nothing(group_z2, z2_phi):

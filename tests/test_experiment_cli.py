@@ -121,6 +121,30 @@ def test_verify_cp_config_swaps_checks(tmp_path):
     assert "walk_homomorphism" not in checks
 
 
+def test_sweep_evaluates_each_functional_once_per_pair_time_and_step(s3_demo_config, monkeypatch):
+    # group-s3: 6 step lengths x 2 pairs x 1 time x 6 probes = 72 walk calls;
+    # each pair has 2 pieces, so 6 x 2 walk functionals and 2 limits of
+    # 2 joins each make 28 joins, where one product per probe made 168
+    import qwalklab.experiment as experiment
+    import qwalklab.fock as fock
+
+    calls = {"convolve_functionals": 0, "walk_matrix_element": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fock, "convolve_functionals")
+    counted(experiment, "walk_matrix_element")
+    run_sweep(s3_demo_config)
+    assert calls == {"convolve_functionals": 28, "walk_matrix_element": 72}
+
+
 def test_sweep_report_shape(tmp_path):
     cfg = ExperimentConfig.from_payload(base_payload(), tmp_path)
     result = run_sweep(cfg)

@@ -168,6 +168,40 @@ def test_walk_element_rejects_dim_mismatch(group_s3, s3_regular_triple):
         walk_matrix_element(psi, group_s3.unit, f, f, 1.0, 0.25)
 
 
+def gray_order(*choices):
+    """Every combination of two-valued choices, each differing from the one before in exactly one choice."""
+    for k in range(2 ** len(choices)):
+        code = k ^ (k >> 1)
+        yield tuple(options[(code >> i) & 1] for i, options in enumerate(choices))
+
+
+REUSE_STEPS = (0.25, 0.125)
+REUSE_TIMES = (0.5, 1.0)
+
+
+def test_walk_reuses_its_functional_only_under_the_same_key(s3_demo_config):
+    # each call changes one of psi, h, f, g and t against the call before;
+    # every probe must equal, bit for bit, an evaluation on a walk and step
+    # functions with equal arrays but new identities, which no entry matches
+    config = s3_demo_config
+    (f0, g0), (f1, g1) = config.pairs
+    walks = [(h, build_walk(config.triple, config.chi, h)) for h in REUSE_STEPS]
+    order = list(gray_order(walks, REUSE_STEPS, (f0, f1), (g0, g1), REUSE_TIMES))
+    got = [[walk_matrix_element(psi, b, f, g, t, h) for b in config.probes] for (_, psi), h, f, g, t in order]
+    for ((walk_h, _), h, f, g, t), values in zip(order, got):
+        fresh = build_walk(config.triple, config.chi, walk_h)
+        f, g = (StepFunction(fn.durations, fn.values) for fn in (f, g))
+        assert values == [walk_matrix_element(fresh, b, f, g, t, h) for b in config.probes]
+
+
+def test_walk_checks_every_call_before_reuse(group_z2, z2_sign_triple):
+    psi = build_walk(z2_sign_triple, group_z2.counit, 0.25)
+    f = two_piece()
+    walk_matrix_element(psi, 1, f, f, 1.0, 0.25)
+    with pytest.raises(ValueError, match="coefficients have shape"):
+        walk_matrix_element(psi, np.ones(3), f, f, 1.0, 0.25)
+
+
 def test_step_function_payload_roundtrip():
     f = two_piece(noise_dim=2)
     back = step_function_from_payload(step_function_to_payload(f))

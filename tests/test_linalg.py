@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qwalklab import ConvolutionSemigroup, structure_map_from_pair
+from qwalklab import ConvolutionSemigroup, OperatorMap, StepFunction, structure_map_from_pair
 from qwalklab.cocycle import assoc_generator
-from qwalklab.linalg import expm
+from qwalklab.linalg import expm, readonly
 
 from .oracles import operator_transfer_matrix
 
@@ -55,3 +55,24 @@ def test_expm_of_zero_and_diagonal():
     assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), rtol=0, atol=1e-15)
     diag = np.array([-40.0, 0.5, 3.0 + 2.0j])
     assert np.allclose(expm(np.diag(diag)), np.diag(np.exp(diag)), rtol=1e-13, atol=0)
+
+
+def test_readonly_copies_writable_input_and_keeps_frozen_input():
+    x = np.arange(4, dtype=complex)
+    frozen = readonly(x)
+    assert frozen is not x and x.flags.writeable and not frozen.flags.writeable
+    assert readonly(frozen) is frozen
+
+
+def test_frozen_objects_do_not_share_the_callers_arrays(group_z2):
+    base = np.zeros((3, 2, 2), dtype=complex)
+    m = base[:2]  # complex and C-contiguous, but a view
+    v = np.array([[1.0 + 0.5j], [2.0]])
+    op = OperatorMap(group_z2, m)
+    f = StepFunction(np.array([0.5, 0.5]), v)
+    assert m.flags.writeable and v.flags.writeable
+    base[0, 0, 0] = 7.0
+    m[1, 1, 1] = 7.0
+    v[0, 0] = 7.0
+    assert not op.mats.any()
+    assert f.values[0, 0] == 1.0 + 0.5j
