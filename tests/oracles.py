@@ -169,18 +169,29 @@ def operator_transfer_matrix(coproduct, psi_vals):
     return t
 
 
-def _dual_basis(rep):
+def dual_basis(rep):
     """g_i in span(rep) with <g_i, rep_j>_HS = delta_ij."""
     gram = np.einsum("iab,jab->ij", np.conjugate(rep), rep)
     return np.einsum("ik,kab->iab", np.conjugate(np.linalg.inv(gram)), rep)
 
 
-def _apply_amplified(theta_mats, dual, x):
-    """(theta x id_{M_K}) of the Hilbert-Schmidt expectation of X onto rep(B) x M_K; X may be a stack."""
+def _coefficients(dual, x):
+    """HS pairings c_i[m, n] = <g_i, X_mn> of the m x m blocks of X; X may be a stack."""
     _, m, _ = dual.shape
-    k = theta_mats.shape[1]
-    c = np.einsum("iab,...ambn->...imn", np.conjugate(dual), x.reshape(x.shape[:-2] + (m, k, m, k)))
-    return np.einsum("iab,...imn->...ambn", theta_mats, c).reshape(x.shape[:-2] + (k * k, k * k))
+    amp = x.shape[-1] // m
+    return np.einsum("iab,...ambn->...imn", np.conjugate(dual), x.reshape(x.shape[:-2] + (m, amp, m, amp)))
+
+
+def hs_expectation(rep, x):
+    """The Hilbert-Schmidt conditional expectation of X onto rep(B) x M_amp; X may be a stack."""
+    return np.einsum("iab,...imn->...ambn", rep, _coefficients(dual_basis(rep), x)).reshape(x.shape)
+
+
+def apply_amplified(theta_mats, dual, x):
+    """(theta x id_{M_amp}) of the Hilbert-Schmidt expectation of X onto rep(B) x M_amp; X may be a stack."""
+    c = _coefficients(dual, x)
+    n = theta_mats.shape[1] * c.shape[-1]
+    return np.einsum("iab,...imn->...ambn", theta_mats, c).reshape(x.shape[:-2] + (n, n))
 
 
 def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e-13, seed=0):
@@ -193,7 +204,7 @@ def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e
     """
     _, m, _ = rep.shape
     k = theta_mats.shape[1]
-    dual = _dual_basis(rep)
+    dual = dual_basis(rep)
 
     def functional(u, v):
         tmp = np.einsum("km,ikl,ln->imn", u.reshape(k, k), np.conjugate(theta_mats), np.conjugate(v.reshape(k, k)))
@@ -214,7 +225,7 @@ def serial_amplified_norm(theta_mats, rep, extra_starts=6, max_iter=400, rtol=1e
     for x in starts:
         prev = -np.inf
         for _ in range(max_iter):
-            w, s, vh = np.linalg.svd(_apply_amplified(theta_mats, dual, x))
+            w, s, vh = np.linalg.svd(apply_amplified(theta_mats, dual, x))
             val = s[0]
             if val <= prev * (1.0 + rtol) + 1e-300:
                 val = max(val, prev)
@@ -233,8 +244,8 @@ def sampled_lower_bound(theta_mats, rep, n_samples, seed=12345):
     """
     _, m, _ = rep.shape
     k = theta_mats.shape[1]
-    dual = _dual_basis(rep)
+    dual = dual_basis(rep)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, m * k, m * k)) + 1j * rng.standard_normal((n_samples, m * k, m * k))
     z /= np.linalg.norm(z, 2, axis=(-2, -1))[:, None, None]
-    return float(np.max(np.linalg.norm(_apply_amplified(theta_mats, dual, z), 2, axis=(-2, -1))))
+    return float(np.max(np.linalg.norm(apply_amplified(theta_mats, dual, z), 2, axis=(-2, -1))))
