@@ -111,7 +111,7 @@ def convolution_iterates(psi: OperatorMap, n: int, cap: int = DEFAULT_DIMENSION_
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedMap:
     """Psi(b_i) = sum_j b_j (x) blocks[i, j] in B (x) M_K."""
 

@@ -252,20 +252,24 @@ def resolve_bialgebra(section, base_dir: Path) -> CounitalBialgebra:
 
 
 def resolve_character(b: CounitalBialgebra, choice) -> np.ndarray:
+    """The counit, or the character at a JSON integer index (true and false are not indices)."""
     if choice in (None, "counit"):
         return b.counit
-    if isinstance(choice, int):
-        if not 0 <= choice < b.characters.shape[0]:
-            raise ConfigError(f"character index {choice} outside 0..{b.characters.shape[0] - 1}")
-        return b.characters[choice]
-    raise ConfigError(f"character must be 'counit' or an index, got {choice!r}")
+    if isinstance(choice, bool) or not isinstance(choice, int):
+        raise TypeError(f"expected 'counit' or an integer index, got {choice!r}")
+    if not 0 <= choice < b.characters.shape[0]:
+        raise ValueError(f"character index {choice} outside 0..{b.characters.shape[0] - 1}")
+    return b.characters[choice]
 
 
 def _pi_matrices(b: CounitalBialgebra, spec) -> np.ndarray:
     if spec == "regular":
         return b.rep
     if isinstance(spec, str) and spec.startswith("character:"):
-        idx = int(spec.split(":", 1)[1])
+        digits = spec.split(":", 1)[1]
+        if not re.fullmatch(r"[0-9]+", digits):
+            raise ValueError(f"pi character index must be decimal digits, got {digits!r}")
+        idx = int(digits)
         if not 0 <= idx < b.characters.shape[0]:
             raise ValueError(f"pi character index {idx} outside 0..{b.characters.shape[0] - 1}")
         return b.characters[idx].reshape(-1, 1, 1)
@@ -290,7 +294,7 @@ def resolve_triple(b: CounitalBialgebra, section) -> ImplementingTriple:
     return triple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     bialgebra: CounitalBialgebra
     chi: np.ndarray
@@ -316,7 +320,7 @@ class ExperimentConfig:
             raise
         except FormatError as exc:
             raise ConfigError(str(exc)) from exc
-        chi = resolve_character(b, payload.get("character", "counit"))
+        chi = _read(payload, "character", lambda choice: resolve_character(b, choice), "counit")
         triple = resolve_triple(b, payload.get("triple"))
         noise_dim = triple.noise_dim
         declared = _read(payload, "noise_dim", lambda v: None if v is None else _integer(v))

@@ -51,7 +51,7 @@ class PartitionMismatch(ValueError):
     """A step function is not constant on the cells of the requested grid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Piecewise-constant function on [0, total_time), zero afterwards.
 

@@ -22,7 +22,7 @@ class GroupTableError(ValueError):
     """Raised when a multiplication table fails a group axiom."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group given by its Cayley table.
 

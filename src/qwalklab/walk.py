@@ -42,7 +42,7 @@ class StepSizeError(ValueError):
     """h ||xi||^2 > 1: the walk unitary does not exist at this step length."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkStep:
     """The scalar/vector ingredients and the assembled unitary of one step."""
 

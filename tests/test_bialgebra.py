@@ -206,3 +206,10 @@ def test_group_algebra_involution_inverse_permutation(s3, group_s3):
         expected = np.zeros(6)
         expected[s3.inv(i)] = 1.0
         assert np.array_equal(group_s3.invol[i], expected)
+
+
+def test_bialgebras_compare_by_identity():
+    # eq=False: == and hash never reach the array fields
+    a, b = (build_group_algebra(symmetric_group(3)) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -94,7 +94,7 @@ def test_ascent_rounds_of_a_demo_sweep(monkeypatch, s3_demo_config):
 
     monkeypatch.setattr(AmplifiedMap, "apply", counted)
     run_sweep(s3_demo_config)
-    assert calls == 37
+    assert calls == 38
 
 
 def test_unital_homomorphism_has_norm_one(all_bialgebras):

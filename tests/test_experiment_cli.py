@@ -299,6 +299,13 @@ MALFORMED_FIELDS = [
     ("dimension_cap", ("dimension_cap",), 64.5),
     ("identity_h", ("identity_h",), [0.1] * 100_000),
     ("compatibility_depth", ("compatibility_depth",), 12),
+    ("character", ("character",), True),
+    ("character", ("character",), False),
+    ("character", ("character",), 2),
+    ("character", ("character",), "x"),
+    ("pi", ("triple", "pi"), "character: 1"),
+    ("pi", ("triple", "pi"), "character:+1"),
+    ("pi", ("triple", "pi"), "character:0_1"),
 ]
 
 
@@ -433,8 +440,15 @@ def test_python_dash_m_entry_point(tmp_path):
     assert "ok" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, qwalklab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # a whole demo run, import included, loads neither scipy nor numpy.random
+    code = (
+        "import sys\n"
+        "from qwalklab.cli import main\n"
+        f"status = main(['demo', 'group-s3', '--out', {str(tmp_path)!r}])\n"
+        "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
+        "print(status, sorted(names))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"

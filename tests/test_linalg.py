@@ -3,7 +3,7 @@ import pytest
 
 from qwalklab import ConvolutionSemigroup, OperatorMap, StepFunction, structure_map_from_pair
 from qwalklab.cocycle import assoc_generator
-from qwalklab.linalg import expm, readonly
+from qwalklab.linalg import expm, readonly, standard_normal
 
 from .oracles import operator_transfer_matrix
 
@@ -55,6 +55,14 @@ def test_expm_of_zero_and_diagonal():
     assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), rtol=0, atol=1e-15)
     diag = np.array([-40.0, 0.5, 3.0 + 2.0j])
     assert np.allclose(expm(np.diag(diag)), np.diag(np.exp(diag)), rtol=1e-13, atol=0)
+
+
+def test_standard_normal_is_seeded_and_standard():
+    assert np.array_equal(standard_normal(7, (3, 5)), standard_normal(7, (3, 5)))
+    assert not np.array_equal(standard_normal(7, (3, 5)), standard_normal(8, (3, 5)))
+    z = standard_normal(0, (10**5,))
+    assert abs(z.mean()) < 0.02
+    assert abs(z.var() - 1.0) < 0.02
 
 
 def test_readonly_copies_writable_input_and_keeps_frozen_input():
