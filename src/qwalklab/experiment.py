@@ -8,7 +8,6 @@ and matrix-element errors against the cocycle limit.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +48,14 @@ from .groups import (
     symmetric_sign_character,
 )
 from .linalg import as_complex_array, opnorm
-from .serialize import FormatError, decode_complex_array, encode_complex_array, read_json, write_json
+from .serialize import (
+    FormatError,
+    decode_complex_array,
+    encode_complex_array,
+    finite_number,
+    read_json,
+    write_json,
+)
 from .structure_maps import (
     ImplementingTriple,
     cp_block_matrix,
@@ -138,15 +144,8 @@ def _read(section: dict, key: str, convert, default=None):
         raise ConfigError(f"invalid {key!r}: {exc}") from exc
 
 
-def _number(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not a finite number")
-    return x
-
-
 def _numbers(value) -> tuple[float, ...]:
-    return tuple(_number(v) for v in _list(value))
+    return tuple(finite_number(v) for v in _list(value))
 
 
 def _integer(value) -> int:
@@ -160,13 +159,6 @@ def _step_lengths(value) -> tuple[float, ...]:
     if len(_list(value)) > MAX_IDENTITY_H:
         raise ValueError(f"at most {MAX_IDENTITY_H} step lengths, got {len(value)}")
     return _numbers(value)
-
-
-def _finite_array(node) -> np.ndarray:
-    arr = decode_complex_array(node)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite")
-    return arr
 
 
 def _object(value) -> dict:
@@ -184,8 +176,8 @@ def _list(value) -> list:
 def _ladder(sweep) -> tuple[float, ...]:
     """The geometric h ladder h0 ratio^k for k < count."""
     sweep = _object(sweep)
-    h0 = _number(sweep.get("h0", 0.25))
-    ratio = _number(sweep.get("ratio", 0.5))
+    h0 = finite_number(sweep.get("h0", 0.25))
+    ratio = finite_number(sweep.get("ratio", 0.5))
     count = sweep.get("count", 6)
     if not (isinstance(count, int) and not isinstance(count, bool) and 1 <= count <= MAX_SWEEP_COUNT):
         raise ValueError(f"count must be an integer in 1..{MAX_SWEEP_COUNT}, got {count!r}")
@@ -199,7 +191,7 @@ def _tolerances(overrides) -> dict[str, float]:
     for key, val in _object(overrides).items():
         if key not in tol:
             raise ValueError(f"unknown tolerance key {key!r}")
-        tol[key] = _number(val)
+        tol[key] = finite_number(val)
     return tol
 
 
@@ -274,7 +266,7 @@ def _pi_matrices(b: CounitalBialgebra, spec) -> np.ndarray:
             raise ValueError(f"pi character index {idx} outside 0..{b.characters.shape[0] - 1}")
         return b.characters[idx].reshape(-1, 1, 1)
     if isinstance(spec, dict) and "matrices" in spec:
-        return _finite_array(spec["matrices"])
+        return decode_complex_array(spec["matrices"])
     raise ValueError(f"triple 'pi' must be 'regular', 'character:<k>' or matrices, got {spec!r}")
 
 
@@ -284,8 +276,8 @@ def resolve_triple(b: CounitalBialgebra, section) -> ImplementingTriple:
     pi = _read(section, "pi", lambda spec: _pi_matrices(b, spec), "regular")
     if "xi" not in section:
         raise ConfigError("triple is missing 'xi'")
-    xi = _read(section, "xi", _finite_array)
-    d_mat = _read(section, "D", lambda node: None if node is None else _finite_array(node))
+    xi = _read(section, "xi", decode_complex_array)
+    d_mat = _read(section, "D", lambda node: None if node is None else decode_complex_array(node))
     try:
         triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=xi, D=d_mat)
         triple.validate(tol=1e-10)
@@ -349,7 +341,7 @@ class ExperimentConfig:
             pairs.append((f, g))
         if not pairs:
             raise ConfigError("at least one step-function pair is required")
-        horizon = _read(payload, "time_horizon", _number, 1.0)
+        horizon = _read(payload, "time_horizon", finite_number, 1.0)
         times = _read(payload, "sample_times", lambda v: _numbers(v or [horizon]))
         if any(t < 0 or t > horizon + 1e-9 for t in times):
             raise ConfigError("sample times must lie in [0, time_horizon]")
@@ -402,7 +394,7 @@ class ExperimentConfig:
             compatibility_depth=depth,
             dimension_cap=cap,
             tolerances=tol,
-            final_error_bound=_read(payload, "final_error_bound", _number, 1e-2),
+            final_error_bound=_read(payload, "final_error_bound", finite_number, 1e-2),
             time_horizon=horizon,
             label=str(payload.get("label", "experiment")),
         )

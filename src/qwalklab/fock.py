@@ -31,7 +31,7 @@ import numpy as np
 
 from .convolution import convolve_functionals, transfer_matrix
 from .linalg import as_complex_array, readonly
-from .serialize import FormatError
+from .serialize import FormatError, finite_number
 from .structure_maps import OperatorMap
 
 __all__ = [
@@ -256,12 +256,12 @@ def step_function_from_payload(rows) -> StepFunction:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) < 2:
             raise FormatError(f"step-function row {row!r} must be [duration, [re, im], ...]")
-        durations.append(float(row[0]))
+        durations.append(finite_number(row[0]))
         comps = []
         for pair in row[1:]:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise FormatError(f"step-function component {pair!r} must be [re, im]")
-            comps.append(complex(pair[0], pair[1]))
+            comps.append(complex(finite_number(pair[0]), finite_number(pair[1])))
         if width is None:
             width = len(comps)
         elif width != len(comps):

@@ -7,6 +7,7 @@ repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "FormatError",
     "encode_complex_array",
     "decode_complex_array",
+    "finite_number",
     "read_json",
     "write_json",
 ]
@@ -35,21 +37,37 @@ def encode_complex_array(arr) -> list:
     return enc(arr)
 
 
+def _is_number(value) -> bool:
+    """A JSON number as json.load returns it: an int or a float, and never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def finite_number(value) -> float:
+    """value as a float if it is a finite JSON number; a numeric string, a bool, NaN or Infinity is refused."""
+    if not _is_number(value):
+        raise FormatError(f"expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise FormatError(f"{value!r} is not a finite number")
+    return x
+
+
 def _decode(node):
-    if (
-        isinstance(node, (list, tuple))
-        and len(node) == 2
-        and all(isinstance(x, (int, float)) for x in node)
-    ):
-        return complex(node[0], node[1])
+    if isinstance(node, (list, tuple)) and len(node) == 2 and all(_is_number(x) for x in node):
+        return complex(finite_number(node[0]), finite_number(node[1]))
     if isinstance(node, (list, tuple)):
         return [_decode(x) for x in node]
     raise FormatError(f"expected [re, im] pair or nested list, got {node!r}")
 
 
 def decode_complex_array(node) -> np.ndarray:
+    """The complex array a nested list of finite [re, im] pairs encodes."""
+    values = _decode(node)
     try:
-        return np.asarray(_decode(node), dtype=complex)
+        return np.asarray(values, dtype=complex)
     except ValueError as exc:
         raise FormatError(f"ragged complex array: {exc}") from exc
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import subprocess
 import sys
 
@@ -306,6 +307,21 @@ MALFORMED_FIELDS = [
     ("pi", ("triple", "pi"), "character: 1"),
     ("pi", ("triple", "pi"), "character:+1"),
     ("pi", ("triple", "pi"), "character:0_1"),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[float("nan"), [1.0, 0.0]]]),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[float("inf"), [1.0, 0.0]]]),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[1.0, [float("nan"), 0.0]]]),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[1.0, [1.0, float("inf")]]]),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [["1.0", [1.0, 0.0]]]),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[True, [1.0, 0.0]]]),
+    ("step_function_pairs", ("step_function_pairs", 0, "f"), [[1.0, [True, False]]]),
+    ("sweep", ("sweep", "ratio"), "0.5"),
+    ("time_horizon", ("time_horizon",), "1"),
+    ("time_horizon", ("time_horizon",), True),
+    ("sample_times", ("sample_times",), [True]),
+    ("final_error_bound", ("final_error_bound",), "0.05"),
+    ("identity_h", ("identity_h",), ["0.5"]),
+    ("tolerances", ("tolerances",), {"axioms": True}),
+    ("xi", ("triple", "xi"), [[True, False]]),
 ]
 
 
@@ -393,7 +409,10 @@ def test_cli_failing_bound_exits_one_but_writes_outputs(tmp_path, capsys):
 
 
 def test_cli_demo_end_to_end(tmp_path, capsys):
+    # main leaves the collector as it found it: only the program entry freezes the heap
+    collector = (gc.isenabled(), gc.get_freeze_count())
     assert main(["demo", "group-z2", "--out", str(tmp_path)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == collector
     for fname in ("config.json", "report.json", "errors.csv", "errors.dat"):
         assert (tmp_path / fname).exists()
     report = read_json(tmp_path / "report.json")
@@ -440,15 +459,22 @@ def test_python_dash_m_entry_point(tmp_path):
     assert "ok" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_out(tmp_path):
-    # a whole demo run, import included, loads neither scipy nor numpy.random
+def test_cli_import_leaves_scipy_out(tmp_path, capsys):
+    # a whole demo run through the program entry, import included, loads neither scipy nor
+    # numpy.random, leaves the import-time heap frozen, and writes what an in-process main writes
+    entry_out, main_out = tmp_path / "entry", tmp_path / "main"
     code = (
-        "import sys\n"
-        "from qwalklab.cli import main\n"
-        f"status = main(['demo', 'group-s3', '--out', {str(tmp_path)!r}])\n"
+        "import gc, sys\n"
+        f"sys.argv = ['qwalklab', 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
+        "from qwalklab.__main__ import run\n"
+        "status = run()\n"
         "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
-        "print(status, sorted(names))"
+        "print(status, gc.get_freeze_count() > 0, sorted(names))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 True []"
+    assert main(["demo", "group-s3", "--out", str(main_out)]) == 0
+    capsys.readouterr()
+    for name in ("report.json", "errors.csv", "errors.dat"):
+        assert (entry_out / name).read_bytes() == (main_out / name).read_bytes(), name

@@ -1,5 +1,7 @@
 """The public surface: the package's __all__ is a contract, shrunk only on purpose."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +86,26 @@ def test_package_all_is_pinned():
 def test_submodule_all_resolves(name):
     module = importlib.import_module(f"qwalklab.{name}")
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+
+
+def test_console_script_is_the_program_entry():
+    # `qwalklab ...` must call the function that `python -m qwalklab ...` calls: the one that freezes the heap
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qwalklab"]
+    module_name, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    main_module = importlib.import_module("qwalklab.__main__")
+    guard = next(
+        node
+        for node in ast.parse(Path(main_module.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    called = [
+        node.func.id
+        for node in ast.walk(guard)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id != "SystemExit"
+    ]
+    assert len(called) == 1
+    assert getattr(main_module, called[0]) is entry
+    assert "freeze" in entry.__code__.co_names
