@@ -156,9 +156,26 @@ def _integer(value) -> int:
 
 
 def _step_lengths(value) -> tuple[float, ...]:
+    """Step lengths in (0, 1]: scaled_identity_h brings h ||xi||^2 under 1 only for h <= 1."""
     if len(_list(value)) > MAX_IDENTITY_H:
         raise ValueError(f"at most {MAX_IDENTITY_H} step lengths, got {len(value)}")
-    return _numbers(value)
+    steps = _numbers(value)
+    if not all(0 < h <= 1 for h in steps):
+        raise ValueError(f"step lengths must lie in (0, 1], got {list(steps)}")
+    return steps
+
+
+def _positive(value) -> float:
+    value = finite_number(value)
+    if value <= 0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _object(value) -> dict:
@@ -192,6 +209,8 @@ def _tolerances(overrides) -> dict[str, float]:
         if key not in tol:
             raise ValueError(f"unknown tolerance key {key!r}")
         tol[key] = finite_number(val)
+        if tol[key] < 0:
+            raise ValueError(f"tolerance {key!r} is negative: {tol[key]!r}")
     return tol
 
 
@@ -380,8 +399,6 @@ class ExperimentConfig:
             )
         tol = _read(payload, "tolerances", lambda v: _tolerances(v or {}))
         identity_h = _read(payload, "identity_h", lambda v: _step_lengths(v or (0.5, 0.1, 0.01)))
-        if any(h <= 0 for h in identity_h):
-            raise ConfigError(f"invalid 'identity_h': step lengths must be positive, got {list(identity_h)}")
         return cls(
             bialgebra=b,
             chi=chi,
@@ -394,9 +411,9 @@ class ExperimentConfig:
             compatibility_depth=depth,
             dimension_cap=cap,
             tolerances=tol,
-            final_error_bound=_read(payload, "final_error_bound", finite_number, 1e-2),
+            final_error_bound=_read(payload, "final_error_bound", _positive, 1e-2),
             time_horizon=horizon,
-            label=str(payload.get("label", "experiment")),
+            label=_read(payload, "label", _string, "experiment"),
         )
 
     @classmethod
@@ -404,7 +421,7 @@ class ExperimentConfig:
         path = Path(path)
         payload = read_json(path)
         cfg = cls.from_payload(payload, path.parent)
-        object.__setattr__(cfg, "label", str(payload.get("label", path.stem)))
+        object.__setattr__(cfg, "label", payload.get("label", path.stem))
         return cfg
 
     def scaled_identity_h(self) -> tuple[float, ...]:

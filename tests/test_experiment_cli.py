@@ -1,5 +1,6 @@
 import copy
 import gc
+import os
 import subprocess
 import sys
 
@@ -322,6 +323,11 @@ MALFORMED_FIELDS = [
     ("identity_h", ("identity_h",), ["0.5"]),
     ("tolerances", ("tolerances",), {"axioms": True}),
     ("xi", ("triple", "xi"), [[True, False]]),
+    ("identity_h", ("identity_h",), [1.5]),
+    ("tolerances", ("tolerances",), {"axioms": -1e-9}),
+    ("final_error_bound", ("final_error_bound",), 0.0),
+    ("final_error_bound", ("final_error_bound",), -0.05),
+    ("label", ("label",), {"a": 1}),
 ]
 
 
@@ -459,22 +465,39 @@ def test_python_dash_m_entry_point(tmp_path):
     assert "ok" in proc.stdout
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     # a whole demo run through the program entry, import included, loads neither scipy nor
-    # numpy.random, leaves the import-time heap frozen, and writes what an in-process main writes
-    entry_out, main_out = tmp_path / "entry", tmp_path / "main"
-    code = (
-        "import gc, sys\n"
-        f"sys.argv = ['qwalklab', 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
-        "from qwalklab.__main__ import run\n"
-        "status = run()\n"
-        "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
-        "print(status, gc.get_freeze_count() > 0, sorted(names))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 True []"
+    # numpy.random, leaves the import-time heap frozen, and writes what an in-process main
+    # writes; numpy's BLAS runs one thread unless OPENBLAS_NUM_THREADS says otherwise, and
+    # the environment is left as it was
+    main_out = tmp_path / "main"
     assert main(["demo", "group-s3", "--out", str(main_out)]) == 0
     capsys.readouterr()
-    for name in ("report.json", "errors.csv", "errors.dat"):
-        assert (entry_out / name).read_bytes() == (main_out / name).read_bytes(), name
+    for blas_threads in (None, "2"):
+        entry_out = tmp_path / f"entry-{blas_threads}"
+        code = (
+            "import gc, os, sys\n"
+            f"sys.argv = ['qwalklab', 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
+            "from qwalklab.__main__ import run\n"
+            "status = run()\n"
+            "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
+            "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+            "print(status, gc.get_freeze_count() > 0, sorted(names))\n"
+            "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        *_, modules, threading = proc.stdout.splitlines()
+        assert modules == "0 True []"
+        threads, variable = threading.split()
+        assert variable == str(blas_threads)
+        if threads != "None":  # no /proc/self/task: the thread count cannot be read
+            assert int(threads) == int(blas_threads or 1)
+        for name in ("report.json", "errors.csv", "errors.dat"):
+            assert (entry_out / name).read_bytes() == (main_out / name).read_bytes(), name
