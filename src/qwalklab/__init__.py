@@ -9,24 +9,36 @@ import os
 import sys
 
 # numpy's OpenBLAS starts a worker thread per core at import, and an idle worker
-# spins (sched_yield) for up to 2^28 cycles before it sleeps, so every process
+# spins (sched_yield) for up to 2^28 cycles before it sleeps, so a short process
 # burns a second core.  On a 2-core Xeon VM `import numpy` took 225 ms wall /
 # 224 ms CPU with the pool and 156 / 149 ms with one thread (median of 10), and
 # the four demos took 23-25 % less CPU.  qwalklab's matrices are 4-8 wide in the
 # demos; only the largest accepted input (S4, pi regular) reaches 625, where an
 # SVD of four complex 625 x 625 matrices took 1.5 s on one thread against 1.1 s
-# and 1.4x the CPU on two.  So numpy loads with one BLAS thread, unless it is
-# already loaded or the user set a thread count, and the environment is restored
-# so that child processes see the user's own.  The names bound here are deleted
-# again: the package namespace keeps only its API.
-if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+# and 1.4x the CPU on two.  So the qwalklab program loads numpy with one BLAS
+# thread: `python -m qwalklab` (runpy imports this package while sys.argv[0] is
+# still "-m") and the `qwalklab` console script.  A program that imports
+# qwalklab as a library keeps numpy's default, as it keeps its collector
+# settings (see __main__).  On the same VM, with one thread in every process, a
+# process that ran run_sweep between fresh library imports lost more of its wall
+# time to the host (steal) than with the pool in 33 of 40 alternating 50-s runs,
+# so its median time varied more from run to run.  Nothing changes when numpy
+# is already loaded or the user set a thread count, and the environment is
+# restored so that child processes see the user's own.  The names bound here
+# are deleted again: the package namespace keeps only its API.
+argv0 = sys.argv[0] if sys.argv else ""
+if (
+    (argv0 == "-m" or os.path.basename(argv0) == "qwalklab")
+    and "numpy" not in sys.modules
+    and not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
     del numpy
-del os, sys
+del argv0, os, sys
 
 from .bialgebra import (
     AxiomViolation,

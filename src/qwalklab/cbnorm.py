@@ -15,8 +15,9 @@ matmuls: the pairing P (r^2 x dim B) with the dual basis gives c_i[m, n]
 = <g_i, X_mn>, and theta as a dim B x K^2 matrix M the output.  The
 ascent's functional is the same product with M^H and P^H; both cost dim
 B (r^2 + K^2) per (m, n).  Each stacked X is its own product: under a
-multi-threaded BLAS (qwalklab loads numpy with one OpenBLAS thread unless
-a thread count is set) one product over the whole stack was split across
+multi-threaded BLAS (numpy's default wherever qwalklab is imported as a
+library; the qwalklab program loads it with one OpenBLAS thread unless a
+thread count is set) one product over the whole stack was split across
 threads, which doubled the CPU time of a K = 7 sweep and saved no wall time.
 
 The norm is maximized by deterministic multi-start alternating ascent:

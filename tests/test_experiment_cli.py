@@ -471,33 +471,39 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     # a whole demo run through the program entry, import included, loads neither scipy nor
     # numpy.random, leaves the import-time heap frozen, and writes what an in-process main
-    # writes; numpy's BLAS runs one thread unless OPENBLAS_NUM_THREADS says otherwise, and
-    # the environment is left as it was
+    # writes; the program's BLAS runs one thread unless OPENBLAS_NUM_THREADS says otherwise,
+    # a program that imports qwalklab as a library keeps numpy's default, and the environment
+    # is left as it was
     main_out = tmp_path / "main"
     assert main(["demo", "group-s3", "--out", str(main_out)]) == 0
     capsys.readouterr()
-    for blas_threads in (None, "2"):
-        entry_out = tmp_path / f"entry-{blas_threads}"
+    count = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None"
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    bare = subprocess.run([sys.executable, "-c", f"import os, numpy\nprint({count})"], capture_output=True, text=True, env=env)
+    assert bare.returncode == 0, bare.stderr
+    # argv[0] of the console script, and of `python -m qwalklab` while runpy imports the
+    # package; any other argv[0] is a program that uses qwalklab as a library
+    cases = [("qwalklab", None, "1"), ("-m", None, "1"), ("qwalklab", "2", "2"), ("driver.py", None, bare.stdout.strip())]
+    for argv0, blas_threads, expected in cases:
+        entry_out = tmp_path / f"entry-{argv0}-{blas_threads}"
         code = (
             "import gc, os, sys\n"
-            f"sys.argv = ['qwalklab', 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
+            f"sys.argv = [{argv0!r}, 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
             "from qwalklab.__main__ import run\n"
             "status = run()\n"
             "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
-            "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+            f"threads = {count}\n"
             "print(status, gc.get_freeze_count() > 0, sorted(names))\n"
             "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))"
         )
-        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        case_env = env if blas_threads is None else dict(env, OPENBLAS_NUM_THREADS=blas_threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=case_env)
         assert proc.returncode == 0, proc.stderr
         *_, modules, threading = proc.stdout.splitlines()
         assert modules == "0 True []"
         threads, variable = threading.split()
         assert variable == str(blas_threads)
         if threads != "None":  # no /proc/self/task: the thread count cannot be read
-            assert int(threads) == int(blas_threads or 1)
+            assert threads == expected, argv0
         for name in ("report.json", "errors.csv", "errors.dat"):
             assert (entry_out / name).read_bytes() == (main_out / name).read_bytes(), name
