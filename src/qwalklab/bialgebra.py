@@ -23,7 +23,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .linalg import as_complex_array, dag, readonly, standard_normal
-from .serialize import FormatError, decode_complex_array, encode_complex_array
+from .serialize import FormatError, decode_complex_array, encode_complex_array, integer
 
 __all__ = [
     "AxiomViolation",
@@ -402,8 +402,10 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
         }
     except KeyError as exc:
         raise FormatError(f"missing bialgebra field {exc.args[0]!r}") from exc
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise FormatError(f"invalid 'dim': expected an integer, got {dim!r}")
+    try:
+        integer(dim)
+    except FormatError as exc:
+        raise FormatError(f"invalid 'dim': {exc}") from exc
     labels = payload.get("labels") or [f"b{i}" for i in range(dim)]
     if not isinstance(labels, list):
         raise FormatError(f"invalid 'labels': expected a list of {dim} names, got {labels!r}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -29,11 +28,6 @@ from .serialize import FormatError, write_json
 __all__ = ["main"]
 
 log = logging.getLogger("qwalklab")
-
-
-def _configure_logging() -> None:
-    level = os.environ.get("QWALKLAB_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -168,9 +162,7 @@ def _print_sweep_summary(result: RunResult) -> None:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)
@@ -185,9 +177,3 @@ def main(argv=None) -> int:
         log.debug("internal error", exc_info=True)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    parser.error("a subcommand is required")
-    return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

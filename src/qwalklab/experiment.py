@@ -53,6 +53,7 @@ from .serialize import (
     decode_complex_array,
     encode_complex_array,
     finite_number,
+    integer,
     read_json,
     write_json,
 )
@@ -148,13 +149,6 @@ def _numbers(value) -> tuple[float, ...]:
     return tuple(finite_number(v) for v in _list(value))
 
 
-def _integer(value) -> int:
-    """A JSON integer as it stands: 2.5 or True is refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _step_lengths(value) -> tuple[float, ...]:
     """Step lengths in (0, 1]: scaled_identity_h brings h ||xi||^2 under 1 only for h <= 1."""
     if len(_list(value)) > MAX_IDENTITY_H:
@@ -195,8 +189,8 @@ def _ladder(sweep) -> tuple[float, ...]:
     sweep = _object(sweep)
     h0 = finite_number(sweep.get("h0", 0.25))
     ratio = finite_number(sweep.get("ratio", 0.5))
-    count = sweep.get("count", 6)
-    if not (isinstance(count, int) and not isinstance(count, bool) and 1 <= count <= MAX_SWEEP_COUNT):
+    count = integer(sweep.get("count", 6))
+    if not 1 <= count <= MAX_SWEEP_COUNT:
         raise ValueError(f"count must be an integer in 1..{MAX_SWEEP_COUNT}, got {count!r}")
     if not (h0 > 0 and 0 < ratio < 1):
         raise ValueError("sweep requires h0 > 0 and 0 < ratio < 1")
@@ -243,11 +237,12 @@ def _builtin_extra_characters(group: FiniteGroup):
     return []
 
 
-def resolve_bialgebra(section, base_dir: Path) -> CounitalBialgebra:
+def resolve_bialgebra(section, base_dir: Path, axiom_tol: float = DEFAULT_TOLERANCES["axioms"]) -> CounitalBialgebra:
+    """The configured bialgebra; a file's axioms are checked to axiom_tol as it loads."""
     if not isinstance(section, dict):
         raise ConfigError("'bialgebra' must be an object")
     if "file" in section:
-        return load_bialgebra(_read(section, "file", base_dir.joinpath))
+        return load_bialgebra(_read(section, "file", base_dir.joinpath), tol=axiom_tol)
     builtin = section.get("builtin")
     if builtin not in ("function_algebra", "group_algebra"):
         raise ConfigError(f"bialgebra builtin must be 'function_algebra' or 'group_algebra', got {builtin!r}")
@@ -266,9 +261,7 @@ def resolve_character(b: CounitalBialgebra, choice) -> np.ndarray:
     """The counit, or the character at a JSON integer index (true and false are not indices)."""
     if choice in (None, "counit"):
         return b.counit
-    if isinstance(choice, bool) or not isinstance(choice, int):
-        raise TypeError(f"expected 'counit' or an integer index, got {choice!r}")
-    if not 0 <= choice < b.characters.shape[0]:
+    if not 0 <= integer(choice) < b.characters.shape[0]:
         raise ValueError(f"character index {choice} outside 0..{b.characters.shape[0] - 1}")
     return b.characters[choice]
 
@@ -325,8 +318,9 @@ class ExperimentConfig:
     @classmethod
     def from_payload(cls, payload: dict, base_dir: Path) -> "ExperimentConfig":
         _check_keys(payload)
+        tol = _read(payload, "tolerances", lambda v: _tolerances(v or {}))
         try:
-            b = resolve_bialgebra(payload.get("bialgebra"), base_dir)
+            b = resolve_bialgebra(payload.get("bialgebra"), base_dir, tol["axioms"])
         except AxiomViolation:
             raise
         except FormatError as exc:
@@ -334,7 +328,7 @@ class ExperimentConfig:
         chi = _read(payload, "character", lambda choice: resolve_character(b, choice), "counit")
         triple = resolve_triple(b, payload.get("triple"))
         noise_dim = triple.noise_dim
-        declared = _read(payload, "noise_dim", lambda v: None if v is None else _integer(v))
+        declared = _read(payload, "noise_dim", lambda v: None if v is None else integer(v))
         if declared is not None and declared != noise_dim:
             raise ConfigError(f"declared noise_dim {declared} != triple noise dimension {noise_dim}")
         h_values = _read(payload, "sweep", lambda v: _ladder(v or {}))
@@ -379,25 +373,24 @@ class ExperimentConfig:
                         _validate_alignment(fn, grid)
                     except PartitionMismatch as exc:
                         raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
-        probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(_integer, _list(v))), "all")
+        probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(integer, _list(v))), "all")
         if not probes:
             raise ConfigError("invalid 'probes': at least one probe is required")
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")
-        depth = _read(payload, "compatibility_depth", _integer, 3)
+        depth = _read(payload, "compatibility_depth", integer, 3)
         if depth < 0:
             raise ConfigError(f"invalid 'compatibility_depth': {depth} is negative")
         try:
             _check_lifted(b.dim, noise_dim + 1, depth)
         except DimensionCapExceeded as exc:
             raise ConfigError(f"invalid 'compatibility_depth': {exc}") from exc
-        cap = _read(payload, "dimension_cap", _integer, DEFAULT_DIMENSION_CAP)
+        cap = _read(payload, "dimension_cap", integer, DEFAULT_DIMENSION_CAP)
         if (noise_dim + 1) ** depth > cap:
             raise ConfigError(
                 f"compatibility depth {depth} would materialize dimension "
                 f"{(noise_dim + 1) ** depth} > cap {cap}"
             )
-        tol = _read(payload, "tolerances", lambda v: _tolerances(v or {}))
         identity_h = _read(payload, "identity_h", lambda v: _step_lengths(v or (0.5, 0.1, 0.01)))
         return cls(
             bialgebra=b,

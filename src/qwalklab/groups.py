@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .serialize import FormatError, integer
+
 __all__ = [
     "GroupTableError",
     "FiniteGroup",
@@ -100,16 +102,19 @@ class FiniteGroup:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FiniteGroup":
+        """The group a group-v1 payload describes: JSON integers only, and labels as a list of strings."""
         try:
-            order = int(payload["order"])
-            flat = payload["mult_table"]
-        except (KeyError, TypeError, ValueError) as exc:
+            order = integer(payload["order"])
+            flat = [integer(x) for x in payload["mult_table"]]
+        except (KeyError, TypeError, FormatError) as exc:
             raise GroupTableError(f"malformed group payload: {exc}") from exc
         if len(flat) != order * order:
             raise GroupTableError(f"mult_table length {len(flat)} != order^2 = {order * order}")
         table = np.asarray(flat, dtype=np.int64).reshape(order, order)
-        labels = tuple(payload.get("labels") or (f"g{i}" for i in range(order)))
-        return cls(table=table, labels=labels, name=str(payload.get("name", "G")))
+        labels = payload.get("labels") or [f"g{i}" for i in range(order)]
+        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+            raise GroupTableError(f"labels must be a list of strings, got {labels!r}")
+        return cls(table=table, labels=tuple(labels), name=str(payload.get("name", "G")))
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -17,6 +17,7 @@ __all__ = [
     "encode_complex_array",
     "decode_complex_array",
     "finite_number",
+    "integer",
     "read_json",
     "write_json",
 ]
@@ -53,6 +54,13 @@ def finite_number(value) -> float:
     if not math.isfinite(x):
         raise FormatError(f"{value!r} is not a finite number")
     return x
+
+
+def integer(value) -> int:
+    """value if it is a JSON integer; a float such as 2.0 or 2.5, a numeric string or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _decode(node):

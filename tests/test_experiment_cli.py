@@ -1,5 +1,6 @@
 import copy
 import gc
+import logging
 import os
 import subprocess
 import sys
@@ -261,6 +262,30 @@ def test_cli_corrupted_coproduct_names_coassociativity(tmp_path, capsys):
     assert "coassociativity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axioms", [None, 1e-9])
+def test_cli_axioms_tolerance_applies_to_bialgebra_files(tmp_path, capsys, axioms):
+    # a file's axioms are checked as it loads, to the config's own "axioms" tolerance
+    config_path = write_demo("custom-file", tmp_path)
+    bialgebra = read_json(tmp_path / "bialgebra.json")
+    bialgebra["counit"][0][0] += 1e-11
+    write_json(tmp_path / "bialgebra.json", bialgebra)
+    if axioms is not None:
+        write_json(config_path, {**read_json(config_path), "tolerances": {"axioms": axioms}})
+    code = main(["verify", "--config", str(config_path), "--out", str(tmp_path)])
+    entry = read_json(tmp_path / "report.json")["checks"]["bialgebra_axioms"]
+    err = capsys.readouterr().err
+    if axioms is None:
+        assert code == 1
+        assert entry["axiom"] == "counit_law"
+        assert not entry["passed"]
+        assert "counit_law violated" in err
+    else:
+        assert ExperimentConfig.from_file(config_path).tolerances["axioms"] == axioms
+        assert entry["passed"]
+        assert entry["tolerance"] == axioms
+        assert "verification failed" not in err
+
+
 def test_cli_oversized_step_exits_two(tmp_path, capsys):
     config = base_payload(triple={"pi": "character:1", "xi": [[2.5, 0.0]]})
     path = write_config(tmp_path, config)
@@ -349,14 +374,31 @@ def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, fiel
     assert repr(field) in err
 
 
+GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
+
+
 @pytest.mark.parametrize(
     "bialgebra, content, field",
     [
-        ({"builtin": "group_algebra", "group": {"file": "bad.json"}}, {"order": 2, "mult_table": [0, 0, 0, 0]}, "group"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 0, 0, 0]}, "group"),
         ({"file": "bad.json"}, {"dim": "x"}, "dim"),
         ({"file": "bad.json"}, {"labels": 5}, "labels"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0.9]}, "group"),
+        (GROUP_FILE, {"order": True, "mult_table": [0]}, "group"),
+        (GROUP_FILE, {"order": "2", "mult_table": [0, 1, 1, 0]}, "group"),
+        (GROUP_FILE, {"order": 2, "mult_table": ["0", 1, 1, 0]}, "group"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "labels": "ab"}, "group"),
     ],
-    ids=["group-not-a-group", "bialgebra-dim", "bialgebra-labels"],
+    ids=[
+        "group-not-a-group",
+        "bialgebra-dim",
+        "bialgebra-labels",
+        "group-float-entry",
+        "group-bool-order",
+        "group-string-order",
+        "group-string-entry",
+        "group-string-labels",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_malformed_file_exits_two_naming_it(tmp_path, capsys, command, bialgebra, content, field):
@@ -448,9 +490,17 @@ def test_demo_names_all_resolve(tmp_path):
 
 
 def test_log_level_env_does_not_break(tmp_path, monkeypatch, capsys):
+    # only the program entry configures logging.  The root logger runs main without pytest's
+    # capture handlers, as in a fresh process, so that a basicConfig call in main would add one.
     monkeypatch.setenv("QWALKLAB_LOG_LEVEL", "DEBUG")
     path = write_config(tmp_path, base_payload())
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+    root = logging.getLogger()
+    saved, root.handlers[:] = root.handlers[:], []
+    try:
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert root.handlers == []
+    finally:
+        root.handlers[:] = saved
     capsys.readouterr()
 
 
@@ -460,20 +510,23 @@ def test_python_dash_m_entry_point(tmp_path):
         [sys.executable, "-m", "qwalklab", "verify", "--config", str(path), "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, QWALKLAB_LOG_LEVEL="INFO"),
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+    assert "INFO qwalklab: verify:" in proc.stderr
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_cli_import_leaves_scipy_out(tmp_path, capsys):
-    # a whole demo run through the program entry, import included, loads neither scipy nor
-    # numpy.random, leaves the import-time heap frozen, and writes what an in-process main
-    # writes; the program's BLAS runs one thread unless OPENBLAS_NUM_THREADS says otherwise,
-    # a program that imports qwalklab as a library keeps numpy's default, and the environment
-    # is left as it was
+    # a whole demo run, import included, loads neither scipy nor numpy.random and writes what an
+    # in-process main writes.  The program entry (run(), or `python -m qwalklab` through runpy)
+    # freezes the import-time heap, configures the root logger and runs one BLAS thread unless
+    # OPENBLAS_NUM_THREADS says otherwise; a library caller's bare `import qwalklab` loads no
+    # numpy, and its process keeps numpy's default threads, the collector and the root logger as
+    # they were.  The environment is left as it was.
     main_out = tmp_path / "main"
     assert main(["demo", "group-s3", "--out", str(main_out)]) == 0
     capsys.readouterr()
@@ -481,29 +534,37 @@ def test_cli_import_leaves_scipy_out(tmp_path, capsys):
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     bare = subprocess.run([sys.executable, "-c", f"import os, numpy\nprint({count})"], capture_output=True, text=True, env=env)
     assert bare.returncode == 0, bare.stderr
-    # argv[0] of the console script, and of `python -m qwalklab` while runpy imports the
-    # package; any other argv[0] is a program that uses qwalklab as a library
-    cases = [("qwalklab", None, "1"), ("-m", None, "1"), ("qwalklab", "2", "2"), ("driver.py", None, bare.stdout.strip())]
-    for argv0, blas_threads, expected in cases:
-        entry_out = tmp_path / f"entry-{argv0}-{blas_threads}"
+    entries = {
+        "run": "from qwalklab.__main__ import run\nstatus = run()\n",
+        "dash-m": (
+            "import runpy\n"
+            "try:\n"
+            "    runpy.run_module('qwalklab', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+        ),
+        "library": "import qwalklab\nassert 'numpy' not in sys.modules\nstatus = qwalklab.cli.main(sys.argv[1:])\n",
+    }
+    cases = [("run", None, "1"), ("dash-m", None, "1"), ("run", "2", "2"), ("library", None, bare.stdout.strip())]
+    for entry, blas_threads, expected in cases:
+        program = entry != "library"
+        entry_out = tmp_path / f"entry-{entry}-{blas_threads}"
         code = (
-            "import gc, os, sys\n"
-            f"sys.argv = [{argv0!r}, 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
-            "from qwalklab.__main__ import run\n"
-            "status = run()\n"
-            "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
-            f"threads = {count}\n"
-            "print(status, gc.get_freeze_count() > 0, sorted(names))\n"
-            "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))"
+            "import gc, logging, os, sys\n"
+            f"sys.argv = ['qwalklab', 'demo', 'group-s3', '--out', {str(entry_out)!r}]\n"
+            + entries[entry]
+            + "names = [m for m in sys.modules if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'random']]\n"
+            "print(status, gc.get_freeze_count() > 0, len(logging.getLogger().handlers), sorted(names))\n"
+            f"print({count}, os.environ.get('OPENBLAS_NUM_THREADS'))"
         )
         case_env = env if blas_threads is None else dict(env, OPENBLAS_NUM_THREADS=blas_threads)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=case_env)
         assert proc.returncode == 0, proc.stderr
-        *_, modules, threading = proc.stdout.splitlines()
-        assert modules == "0 True []"
+        *_, settings, threading = proc.stdout.splitlines()
+        assert settings == f"0 {program} {int(program)} []", entry
         threads, variable = threading.split()
         assert variable == str(blas_threads)
         if threads != "None":  # no /proc/self/task: the thread count cannot be read
-            assert threads == expected, argv0
+            assert threads == expected, entry
         for name in ("report.json", "errors.csv", "errors.dat"):
             assert (entry_out / name).read_bytes() == (main_out / name).read_bytes(), name

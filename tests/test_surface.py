@@ -1,6 +1,8 @@
 """The public surface: the package's __all__ is a contract, shrunk only on purpose."""
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,18 @@ def test_package_all_is_pinned():
 def test_submodule_all_resolves(name):
     module = importlib.import_module(f"qwalklab.{name}")
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+
+
+def test_bare_import_loads_no_numpy_and_resolves_every_name():
+    # a fresh interpreter: each submodule, then each public name, is imported on first use
+    code = (
+        "import sys, qwalklab\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by a bare import'\n"
+        f"missing = [n for n in {list(SUBMODULES)!r} + qwalklab.__all__ if not hasattr(qwalklab, n)]\n"
+        "assert not missing, missing\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_is_the_program_entry():
