@@ -23,7 +23,7 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .linalg import as_complex_array, dag, readonly, standard_normal
-from .serialize import FormatError, decode_complex_array, encode_complex_array, integer
+from .serialize import FormatError, decode_complex_array, encode_complex_array, integer, labels_and_name
 
 __all__ = [
     "AxiomViolation",
@@ -406,12 +406,8 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
         integer(dim)
     except FormatError as exc:
         raise FormatError(f"invalid 'dim': {exc}") from exc
-    labels = payload.get("labels") or [f"b{i}" for i in range(dim)]
-    if not isinstance(labels, list):
-        raise FormatError(f"invalid 'labels': expected a list of {dim} names, got {labels!r}")
-    if len(labels) != dim:
-        raise FormatError(f"label count {len(labels)} != dim {dim}")
-    return CounitalBialgebra(name=str(payload.get("name", "B")), labels=tuple(labels), **fields)
+    labels, name = labels_and_name(payload, dim, "b", "B")
+    return CounitalBialgebra(name=name, labels=labels, **fields)
 
 
 def load_bialgebra(path, tol: float = 1e-12) -> CounitalBialgebra:

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .bialgebra import (
-    AxiomViolation,
     CounitalBialgebra,
     build_function_algebra,
     build_group_algebra,
@@ -107,42 +106,27 @@ MAX_SWEEP_COUNT = 64
 #: the most step lengths identity_h may list (each builds a walk and checks an identity)
 MAX_IDENTITY_H = 64
 
-#: the keys each config section admits (None: the top level); any other key is rejected
-SECTION_KEYS = {
-    None: frozenset(
-        {
-            "label", "bialgebra", "character", "triple", "noise_dim", "step_function_pairs", "time_horizon",
-            "sample_times", "sweep", "identity_h", "probes", "compatibility_depth", "dimension_cap",
-            "tolerances", "final_error_bound",
-        }
-    ),
-    "bialgebra": frozenset({"builtin", "group", "file"}),
-    "triple": frozenset({"pi", "xi", "D"}),
-    "sweep": frozenset({"h0", "ratio", "count"}),
-}
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-def _check_keys(payload: dict) -> None:
-    """A ConfigError naming the first key that its section does not admit."""
-    for name, allowed in SECTION_KEYS.items():
-        section = payload if name is None else payload.get(name)
-        if isinstance(section, dict):
-            unknown = sorted(set(section) - allowed)
-            if unknown:
-                where = "the config" if name is None else repr(name)
-                raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
-def _read(section: dict, key: str, convert, default=None):
-    """convert(section[key]), or of default when absent; a bad value is a ConfigError naming key."""
-    try:
-        return convert(section.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {key!r}: {exc}") from exc
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"expected a nonempty list, got {value!r}")
+    return value
 
 
 def _numbers(value) -> tuple[float, ...]:
@@ -160,70 +144,141 @@ def _step_lengths(value) -> tuple[float, ...]:
 
 
 def _positive(value) -> float:
-    value = finite_number(value)
-    if value <= 0:
+    if finite_number(value) <= 0:
         raise ValueError(f"expected a positive number, got {value!r}")
+    return float(value)
+
+
+def _nonnegative(value) -> float:
+    if finite_number(value) < 0:
+        raise ValueError(f"expected a number >= 0, got {value!r}")
+    return float(value)
+
+
+def _ratio(value) -> float:
+    if not 0 < finite_number(value) < 1:
+        raise ValueError(f"expected a number in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _natural(value) -> int:
+    if integer(value) < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
     return value
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+def _sweep_count(value) -> int:
+    if not 1 <= integer(value) <= MAX_SWEEP_COUNT:
+        raise ValueError(f"expected an integer in 1..{MAX_SWEEP_COUNT}, got {value!r}")
     return value
 
 
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected an object, got {value!r}")
+def _character(value):
+    """'counit', or a character index: a JSON integer (true and false are not indices)."""
+    return value if value == "counit" else integer(value)
+
+
+def _probes(value):
+    return value if value == "all" else tuple(integer(i) for i in _list(value))
+
+
+def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
+    if value == []:
+        raise ValueError("at least one step-function pair is required")
+    pairs = []
+    for k, pair in enumerate(_list(value)):
+        try:
+            pairs.append((step_function_from_payload(pair["f"]), step_function_from_payload(pair["g"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"pair {k} is malformed: {exc}") from exc
+    return tuple(pairs)
+
+
+def _builtin(value) -> str:
+    if value not in ("function_algebra", "group_algebra"):
+        raise ValueError(f"expected 'function_algebra' or 'group_algebra', got {value!r}")
     return value
 
 
-def _list(value) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list, got {value!r}")
+def _group(value):
+    """A group name such as 'z2' or 's3', or {'file': <path>} naming a group file."""
+    is_file = isinstance(value, dict) and set(value) == {"file"} and isinstance(value["file"], str)
+    if not (is_file or isinstance(value, str)):
+        raise ValueError(f"expected a name like 'z2' or 's3', or {{'file': <path>}}, got {value!r}")
     return value
 
 
-def _ladder(sweep) -> tuple[float, ...]:
-    """The geometric h ladder h0 ratio^k for k < count."""
-    sweep = _object(sweep)
-    h0 = finite_number(sweep.get("h0", 0.25))
-    ratio = finite_number(sweep.get("ratio", 0.5))
-    count = integer(sweep.get("count", 6))
-    if not 1 <= count <= MAX_SWEEP_COUNT:
-        raise ValueError(f"count must be an integer in 1..{MAX_SWEEP_COUNT}, got {count!r}")
-    if not (h0 > 0 and 0 < ratio < 1):
-        raise ValueError("sweep requires h0 > 0 and 0 < ratio < 1")
-    return tuple(h0 * ratio**k for k in range(count))
+def _pi(value):
+    """'regular', the index k of 'character:<k>' (decimal digits), or the matrices of {'matrices': ...}."""
+    if isinstance(value, dict) and "matrices" in value:
+        return decode_complex_array(value["matrices"])
+    m = re.fullmatch(r"regular|character:([0-9]+)", value) if isinstance(value, str) else None
+    if not m:
+        raise ValueError(f"expected 'regular', 'character:<k>' or {{'matrices': ...}}, got {value!r}")
+    return int(m[1]) if m[1] else value
 
 
-def _tolerances(overrides) -> dict[str, float]:
-    tol = dict(DEFAULT_TOLERANCES)
-    for key, val in _object(overrides).items():
-        if key not in tol:
-            raise ValueError(f"unknown tolerance key {key!r}")
-        tol[key] = finite_number(val)
-        if tol[key] < 0:
-            raise ValueError(f"tolerance {key!r} is negative: {tol[key]!r}")
-    return tol
+#: the default of a field that must be given
+_REQUIRED = object()
+
+#: section (None: the top level) -> key -> (rule, default).  A key that names a
+#: section holds that section's fields.  Every present value goes through its
+#: rule, null, 0, [] and false included; only an absent key takes the default.
+FIELDS = {
+    None: {
+        "label": (_string, "experiment"),
+        "tolerances": (_object, {}),
+        "bialgebra": (_object, _REQUIRED),
+        "character": (_character, "counit"),
+        "triple": (_object, _REQUIRED),
+        "noise_dim": (_natural, None),
+        "sweep": (_object, {}),
+        "step_function_pairs": (_pairs, _REQUIRED),
+        "time_horizon": (_positive, 1.0),
+        "sample_times": (_numbers, None),  # absent: the time horizon alone
+        "probes": (_probes, "all"),
+        "compatibility_depth": (_natural, 3),
+        "dimension_cap": (_natural, DEFAULT_DIMENSION_CAP),
+        "identity_h": (_step_lengths, (0.5, 0.1, 0.01)),
+        "final_error_bound": (_positive, 1e-2),
+    },
+    "bialgebra": {"builtin": (_builtin, None), "group": (_group, None), "file": (_string, None)},
+    "triple": {"pi": (_pi, "regular"), "xi": (decode_complex_array, _REQUIRED), "D": (decode_complex_array, None)},
+    "sweep": {"h0": (_positive, 0.25), "ratio": (_ratio, 0.5), "count": (_sweep_count, 6)},
+    "tolerances": {key: (_nonnegative, tol) for key, tol in DEFAULT_TOLERANCES.items()},
+}
 
 
-def _resolve_group(name_or_file, base_dir: Path) -> FiniteGroup:
-    if isinstance(name_or_file, dict) and "file" in name_or_file:
-        payload = read_json(_read(name_or_file, "file", base_dir.joinpath))
-        return FiniteGroup.from_payload(payload)
-    if not isinstance(name_or_file, str):
-        raise ConfigError(f"group must be a name like 'z2'/'s3' or {{'file': ...}}, got {name_or_file!r}")
-    m = re.fullmatch(r"[zZ](\d+)", name_or_file)
-    if m:
-        return cyclic_group(int(m.group(1)))
-    m = re.fullmatch(r"[sS](\d+)", name_or_file)
-    if m:
-        n = int(m.group(1))
-        if n > 4:
-            raise ConfigError(f"symmetric group order {n}! is too large; use n <= 4")
-        return symmetric_group(n)
-    raise ConfigError(f"unknown group name {name_or_file!r}")
+def _fields(payload: dict, section: str | None = None) -> dict:
+    """Each field of section: a present value through its rule, an absent key at its default."""
+    where = "" if section is None else f" in {section!r}"
+    unknown = [key for key in payload if key not in FIELDS[section]]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}{where or ' in the config'}")
+    out = {}
+    for key, (rule, default) in FIELDS[section].items():
+        if key in payload:
+            try:
+                out[key] = rule(payload[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"invalid {key!r}{where}: {exc}") from exc
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing {key!r}{where}")
+        else:
+            out[key] = default
+        if key in FIELDS:
+            out[key] = _fields(out[key], key)
+    return out
+
+
+def _resolve_group(spec, base_dir: Path) -> FiniteGroup:
+    if isinstance(spec, dict):
+        return FiniteGroup.from_payload(read_json(base_dir.joinpath(spec["file"])))
+    if m := re.fullmatch(r"[zZ](\d+)", spec):
+        return cyclic_group(int(m[1]))
+    if m := re.fullmatch(r"[sS]([1-4])", spec):
+        return symmetric_group(int(m[1]))
+    raise ValueError(f"unknown group name {spec!r}; the builtin groups are z1..z64 and s1..s4")
 
 
 def _builtin_extra_characters(group: FiniteGroup):
@@ -238,64 +293,24 @@ def _builtin_extra_characters(group: FiniteGroup):
 
 
 def resolve_bialgebra(section, base_dir: Path, axiom_tol: float = DEFAULT_TOLERANCES["axioms"]) -> CounitalBialgebra:
-    """The configured bialgebra; a file's axioms are checked to axiom_tol as it loads."""
-    if not isinstance(section, dict):
-        raise ConfigError("'bialgebra' must be an object")
-    if "file" in section:
-        return load_bialgebra(_read(section, "file", base_dir.joinpath), tol=axiom_tol)
-    builtin = section.get("builtin")
-    if builtin not in ("function_algebra", "group_algebra"):
-        raise ConfigError(f"bialgebra builtin must be 'function_algebra' or 'group_algebra', got {builtin!r}")
+    """The bialgebra of a 'bialgebra' section as _fields reads it; a file's axioms are checked to axiom_tol.
+
+    base_dir, which files are read against, may be None for a group by name.
+    """
+    if section.get("file") is not None:
+        try:
+            return load_bialgebra(base_dir.joinpath(section["file"]), tol=axiom_tol)
+        except FormatError as exc:
+            raise ConfigError(f"invalid 'file' in 'bialgebra': {exc}") from exc
+    if section.get("builtin") is None or section.get("group") is None:
+        raise ConfigError("'bialgebra' needs a 'builtin' and a 'group', or a 'file'")
     try:
-        group = _resolve_group(section.get("group"), base_dir)
-    except ConfigError:
-        raise
+        group = _resolve_group(section["group"], base_dir)
     except (TypeError, ValueError) as exc:  # a GroupTableError, FormatError or malformed table
-        raise ConfigError(f"invalid 'group': {exc}") from exc
-    if builtin == "function_algebra":
+        raise ConfigError(f"invalid 'group' in 'bialgebra': {exc}") from exc
+    if section["builtin"] == "function_algebra":
         return build_function_algebra(group)
     return build_group_algebra(group, extra_characters=_builtin_extra_characters(group))
-
-
-def resolve_character(b: CounitalBialgebra, choice) -> np.ndarray:
-    """The counit, or the character at a JSON integer index (true and false are not indices)."""
-    if choice in (None, "counit"):
-        return b.counit
-    if not 0 <= integer(choice) < b.characters.shape[0]:
-        raise ValueError(f"character index {choice} outside 0..{b.characters.shape[0] - 1}")
-    return b.characters[choice]
-
-
-def _pi_matrices(b: CounitalBialgebra, spec) -> np.ndarray:
-    if spec == "regular":
-        return b.rep
-    if isinstance(spec, str) and spec.startswith("character:"):
-        digits = spec.split(":", 1)[1]
-        if not re.fullmatch(r"[0-9]+", digits):
-            raise ValueError(f"pi character index must be decimal digits, got {digits!r}")
-        idx = int(digits)
-        if not 0 <= idx < b.characters.shape[0]:
-            raise ValueError(f"pi character index {idx} outside 0..{b.characters.shape[0] - 1}")
-        return b.characters[idx].reshape(-1, 1, 1)
-    if isinstance(spec, dict) and "matrices" in spec:
-        return decode_complex_array(spec["matrices"])
-    raise ValueError(f"triple 'pi' must be 'regular', 'character:<k>' or matrices, got {spec!r}")
-
-
-def resolve_triple(b: CounitalBialgebra, section) -> ImplementingTriple:
-    if not isinstance(section, dict):
-        raise ConfigError("'triple' must be an object")
-    pi = _read(section, "pi", lambda spec: _pi_matrices(b, spec), "regular")
-    if "xi" not in section:
-        raise ConfigError("triple is missing 'xi'")
-    xi = _read(section, "xi", decode_complex_array)
-    d_mat = _read(section, "D", lambda node: None if node is None else decode_complex_array(node))
-    try:
-        triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=xi, D=d_mat)
-        triple.validate(tol=1e-10)
-    except ValueError as exc:
-        raise ConfigError(f"invalid triple: {exc}") from exc
-    return triple
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,105 +332,94 @@ class ExperimentConfig:
 
     @classmethod
     def from_payload(cls, payload: dict, base_dir: Path) -> "ExperimentConfig":
-        _check_keys(payload)
-        tol = _read(payload, "tolerances", lambda v: _tolerances(v or {}))
+        """The config a payload describes; the files it names resolve against base_dir."""
+        cfg = _fields(payload)
+        # what follows checks fields against each other and against the bialgebra
+        tol = cfg["tolerances"]
+        b = resolve_bialgebra(cfg["bialgebra"], base_dir, tol["axioms"])
+        chi, pi, count = cfg["character"], cfg["triple"]["pi"], len(b.characters)
+        for name, index in (("'character'", chi), ("'pi' in 'triple'", pi)):
+            if isinstance(index, int) and not 0 <= index < count:
+                raise ConfigError(f"invalid {name}: character index {index} outside 0..{count - 1}")
+        chi = b.counit if chi == "counit" else b.characters[chi]
+        if isinstance(pi, str):  # 'regular'
+            pi = b.rep
+        elif isinstance(pi, int):
+            pi = b.characters[pi].reshape(-1, 1, 1)
         try:
-            b = resolve_bialgebra(payload.get("bialgebra"), base_dir, tol["axioms"])
-        except AxiomViolation:
-            raise
-        except FormatError as exc:
-            raise ConfigError(str(exc)) from exc
-        chi = _read(payload, "character", lambda choice: resolve_character(b, choice), "counit")
-        triple = resolve_triple(b, payload.get("triple"))
+            triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=cfg["triple"]["xi"], D=cfg["triple"]["D"])
+            triple.validate(tol=1e-10)
+        except ValueError as exc:
+            raise ConfigError(f"invalid 'triple': {exc}") from exc
         noise_dim = triple.noise_dim
-        declared = _read(payload, "noise_dim", lambda v: None if v is None else integer(v))
-        if declared is not None and declared != noise_dim:
-            raise ConfigError(f"declared noise_dim {declared} != triple noise dimension {noise_dim}")
-        h_values = _read(payload, "sweep", lambda v: _ladder(v or {}))
-        xi_norm_sq = float(np.real(np.vdot(triple.xi, triple.xi)))
-        for h in h_values:
-            if h * xi_norm_sq > 1.0:
-                raise ConfigError(
-                    f"h * ||xi||^2 = {h * xi_norm_sq:.6g} > 1 at h = {h:g}: the walk "
-                    "unitary requires h * ||xi||^2 <= 1 for every swept step length"
-                )
-        pairs = []
-        for k, pair in enumerate(_read(payload, "step_function_pairs", lambda v: _list(v or []))):
-            try:
-                f = step_function_from_payload(pair["f"])
-                g = step_function_from_payload(pair["g"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid 'step_function_pairs': pair {k} is malformed: {exc}") from exc
-            if f.noise_dim != noise_dim or g.noise_dim != noise_dim:
-                raise ConfigError(
-                    f"step-function pair {k} has noise dimension {f.noise_dim}/{g.noise_dim}, "
-                    f"triple expects {noise_dim}"
-                )
-            pairs.append((f, g))
-        if not pairs:
-            raise ConfigError("at least one step-function pair is required")
-        horizon = _read(payload, "time_horizon", finite_number, 1.0)
-        times = _read(payload, "sample_times", lambda v: _numbers(v or [horizon]))
+        if cfg["noise_dim"] not in (None, noise_dim):
+            raise ConfigError(f"invalid 'noise_dim': declared {cfg['noise_dim']} != triple noise dimension {noise_dim}")
+        sweep = cfg["sweep"]
+        h_values = tuple(sweep["h0"] * sweep["ratio"] ** k for k in range(sweep["count"]))
+        h0, xi_norm_sq = h_values[0], float(np.real(np.vdot(triple.xi, triple.xi)))
+        if h0 * xi_norm_sq > 1.0:  # h0 is the largest swept step length
+            raise ConfigError(
+                f"h * ||xi||^2 = {h0 * xi_norm_sq:.6g} > 1 at h = {h0:g}: the walk "
+                "unitary requires h * ||xi||^2 <= 1 for every swept step length"
+            )
+        horizon = cfg["time_horizon"]
+        times = (horizon,) if cfg["sample_times"] is None else cfg["sample_times"]
         if any(t < 0 or t > horizon + 1e-9 for t in times):
-            raise ConfigError("sample times must lie in [0, time_horizon]")
+            raise ConfigError(f"invalid 'sample_times': sample times must lie in [0, time_horizon] = [0, {horizon:g}]")
         longest, h_min = max(times), min(h_values)
         if not (h_min > 0 and longest <= 2**53 * h_min):
             raise ConfigError(
                 f"invalid 'sweep': h = {h_min:g} splits sample time {longest:g} into more than "
                 "2**53 cells, past which cell counts are not exact integers"
             )
-        # the sweep's own alignment rule, applied to every swept h before any run
-        for h in h_values:
-            grid = GridSpec.from_time(longest, h)
-            for k, pair in enumerate(pairs):
-                for fn in pair:
+        pairs, grids = cfg["step_function_pairs"], [GridSpec.from_time(longest, h) for h in h_values]
+        for k, pair in enumerate(pairs):
+            for fn in pair:
+                if fn.noise_dim != noise_dim:
+                    raise ConfigError(
+                        f"invalid 'step_function_pairs': pair {k} has noise dimension {fn.noise_dim}, "
+                        f"triple expects {noise_dim}"
+                    )
+                for grid in grids:  # the sweep's own alignment rule, applied before any run
                     try:
                         _validate_alignment(fn, grid)
                     except PartitionMismatch as exc:
                         raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
-        probes = _read(payload, "probes", lambda v: tuple(range(b.dim) if v == "all" else map(integer, _list(v))), "all")
-        if not probes:
-            raise ConfigError("invalid 'probes': at least one probe is required")
+        probes = tuple(range(b.dim)) if cfg["probes"] == "all" else cfg["probes"]
         if any(not 0 <= i < b.dim for i in probes):
-            raise ConfigError(f"probe indices must lie in 0..{b.dim - 1}")
-        depth = _read(payload, "compatibility_depth", integer, 3)
-        if depth < 0:
-            raise ConfigError(f"invalid 'compatibility_depth': {depth} is negative")
+            raise ConfigError(f"invalid 'probes': probe indices must lie in 0..{b.dim - 1}")
+        depth, cap = cfg["compatibility_depth"], cfg["dimension_cap"]
         try:
             _check_lifted(b.dim, noise_dim + 1, depth)
         except DimensionCapExceeded as exc:
             raise ConfigError(f"invalid 'compatibility_depth': {exc}") from exc
-        cap = _read(payload, "dimension_cap", integer, DEFAULT_DIMENSION_CAP)
         if (noise_dim + 1) ** depth > cap:
             raise ConfigError(
                 f"compatibility depth {depth} would materialize dimension "
                 f"{(noise_dim + 1) ** depth} > cap {cap}"
             )
-        identity_h = _read(payload, "identity_h", lambda v: _step_lengths(v or (0.5, 0.1, 0.01)))
         return cls(
             bialgebra=b,
             chi=chi,
             triple=triple,
-            pairs=tuple(pairs),
+            pairs=pairs,
             sample_times=times,
             h_values=h_values,
-            identity_h=identity_h,
+            identity_h=cfg["identity_h"],
             probes=probes,
             compatibility_depth=depth,
             dimension_cap=cap,
             tolerances=tol,
-            final_error_bound=_read(payload, "final_error_bound", _positive, 1e-2),
+            final_error_bound=cfg["final_error_bound"],
             time_horizon=horizon,
-            label=_read(payload, "label", _string, "experiment"),
+            label=cfg["label"],
         )
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """The config in a JSON file; its label defaults to the file name without '.json'."""
         path = Path(path)
-        payload = read_json(path)
-        cfg = cls.from_payload(payload, path.parent)
-        object.__setattr__(cfg, "label", payload.get("label", path.stem))
-        return cfg
+        return cls.from_payload({"label": path.stem, **read_json(path)}, path.parent)
 
     def scaled_identity_h(self) -> tuple[float, ...]:
         """identity_h values scaled so h ||xi||^2 <= 1 holds."""
@@ -663,7 +667,14 @@ def errors_to_dat(report: dict) -> str:
 
 # -- demos -----------------------------------------------------------------
 
-DEMO_NAMES = ("c-z2", "group-z2", "group-s3", "custom-file")
+#: each demo's bialgebra section; the demos differ only in it, in their label and in group-s3's triple
+_DEMO_BIALGEBRAS = {
+    "c-z2": {"builtin": "function_algebra", "group": "z2"},
+    "group-z2": {"builtin": "group_algebra", "group": "z2"},
+    "group-s3": {"builtin": "group_algebra", "group": "s3"},
+    "custom-file": {"file": "bialgebra.json"},
+}
+DEMO_NAMES = tuple(_DEMO_BIALGEBRAS)
 
 _DEMO_PAIRS = [
     {
@@ -707,47 +718,17 @@ def _s3_cp_triple_section() -> dict:
 
 
 def _demo_payload(name: str) -> dict:
-    if name == "c-z2":
-        return {
-            "label": "c-z2",
-            "bialgebra": {"builtin": "function_algebra", "group": "z2"},
-            "character": "counit",
-            "triple": {"pi": "character:1", "xi": [[1.5, 0.0]]},
-            "noise_dim": 1,
-            "final_error_bound": 0.05,
-            **_DEMO_COMMON,
-        }
-    if name == "group-z2":
-        return {
-            "label": "group-z2",
-            "bialgebra": {"builtin": "group_algebra", "group": "z2"},
-            "character": "counit",
-            "triple": {"pi": "character:1", "xi": [[1.5, 0.0]]},
-            "noise_dim": 1,
-            "final_error_bound": 0.05,
-            **_DEMO_COMMON,
-        }
-    if name == "group-s3":
-        return {
-            "label": "group-s3",
-            "bialgebra": {"builtin": "group_algebra", "group": "s3"},
-            "character": "counit",
-            "triple": _s3_cp_triple_section(),
-            "noise_dim": 1,
-            "final_error_bound": 0.05,
-            **_DEMO_COMMON,
-        }
-    if name == "custom-file":
-        return {
-            "label": "custom-file",
-            "bialgebra": {"file": "bialgebra.json"},
-            "character": "counit",
-            "triple": {"pi": "character:1", "xi": [[1.5, 0.0]]},
-            "noise_dim": 1,
-            "final_error_bound": 0.05,
-            **_DEMO_COMMON,
-        }
-    raise ConfigError(f"unknown demo {name!r}; choose one of {', '.join(DEMO_NAMES)}")
+    if name not in DEMO_NAMES:
+        raise ConfigError(f"unknown demo {name!r}; choose one of {', '.join(DEMO_NAMES)}")
+    return {
+        "label": name,
+        "bialgebra": dict(_DEMO_BIALGEBRAS[name]),
+        "character": "counit",
+        "triple": _s3_cp_triple_section() if name == "group-s3" else {"pi": "character:1", "xi": [[1.5, 0.0]]},
+        "noise_dim": 1,
+        "final_error_bound": 0.05,
+        **_DEMO_COMMON,
+    }
 
 
 def write_demo(name: str, out_dir) -> Path:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import FormatError, integer
+from .serialize import FormatError, integer, labels_and_name
 
 __all__ = [
     "GroupTableError",
@@ -102,19 +102,18 @@ class FiniteGroup:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FiniteGroup":
-        """The group a group-v1 payload describes: JSON integers only, and labels as a list of strings."""
+        """The group a group-v1 payload describes: JSON integers, an order >= 1, optional string labels and name."""
         try:
             order = integer(payload["order"])
+            if order < 1:
+                raise FormatError(f"invalid 'order': expected an integer >= 1, got {order}")
             flat = [integer(x) for x in payload["mult_table"]]
+            if len(flat) != order * order:
+                raise FormatError(f"mult_table length {len(flat)} != order^2 = {order * order}")
+            labels, name = labels_and_name(payload, order, "g", "G")
         except (KeyError, TypeError, FormatError) as exc:
             raise GroupTableError(f"malformed group payload: {exc}") from exc
-        if len(flat) != order * order:
-            raise GroupTableError(f"mult_table length {len(flat)} != order^2 = {order * order}")
-        table = np.asarray(flat, dtype=np.int64).reshape(order, order)
-        labels = payload.get("labels") or [f"g{i}" for i in range(order)]
-        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
-            raise GroupTableError(f"labels must be a list of strings, got {labels!r}")
-        return cls(table=table, labels=tuple(labels), name=str(payload.get("name", "G")))
+        return cls(table=np.asarray(flat, dtype=np.int64).reshape(order, order), labels=labels, name=name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -18,6 +18,7 @@ __all__ = [
     "decode_complex_array",
     "finite_number",
     "integer",
+    "labels_and_name",
     "read_json",
     "write_json",
 ]
@@ -61,6 +62,17 @@ def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"expected an integer, got {value!r}")
     return value
+
+
+def labels_and_name(payload: dict, count: int, prefix: str, name: str) -> tuple[tuple[str, ...], str]:
+    """payload's 'labels', count strings (absent: prefix0, prefix1, ...), and its 'name', a string (absent: name)."""
+    labels = payload.get("labels", [f"{prefix}{i}" for i in range(count)])
+    if not (isinstance(labels, list) and len(labels) == count and all(isinstance(x, str) for x in labels)):
+        raise FormatError(f"invalid 'labels': expected a list of {count} strings, got {labels!r}")
+    name = payload.get("name", name)
+    if not isinstance(name, str):
+        raise FormatError(f"invalid 'name': expected a string, got {name!r}")
+    return tuple(labels), name
 
 
 def _decode(node):

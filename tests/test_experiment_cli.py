@@ -2,6 +2,7 @@ import copy
 import gc
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from qwalklab import ConfigError, ExperimentConfig, run_sweep, run_verify, write_demo
 from qwalklab.bialgebra import bialgebra_to_payload, build_group_algebra
 from qwalklab.cli import main
-from qwalklab.experiment import DEMO_NAMES, _demo_payload
+from qwalklab.experiment import DEMO_NAMES, FIELDS, _demo_payload
 from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
 
@@ -70,9 +71,10 @@ def test_config_label_falls_back_to_stem(tmp_path):
         ({"noise_dim": 3}, "noise_dim"),
         ({"sample_times": [2.0]}, "sample times"),
         ({"probes": [0, 7]}, "probe indices"),
-        ({"tolerances": {"nope": 1.0}}, "unknown tolerance key"),
+        ({"tolerances": {"nope": 1.0}}, "unknown key 'nope' in 'tolerances'"),
         ({"compatibility_depth": 9, "dimension_cap": 64}, "cap"),
         ({"character": 9}, "character index"),
+        ({"time_horizon": 0, "sample_times": [0.0]}, "time_horizon"),
         ({"triple": {"pi": "character:1"}}, "missing 'xi'"),
         ({"bialgebra": {"builtin": "whatever"}}, "builtin"),
         ({"bialgebra": {"builtin": "group_algebra", "group": "q8"}}, "unknown group"),
@@ -353,6 +355,19 @@ MALFORMED_FIELDS = [
     ("final_error_bound", ("final_error_bound",), 0.0),
     ("final_error_bound", ("final_error_bound",), -0.05),
     ("label", ("label",), {"a": 1}),
+    ("group", ("bialgebra", "group"), "s5"),
+    ("group", ("bialgebra", "group"), "q8"),
+    ("group", ("bialgebra", "group"), True),
+    ("group", ("bialgebra", "group"), None),
+    ("builtin", ("bialgebra", "builtin"), None),
+    ("identity_h", ("identity_h",), []),
+    ("sample_times", ("sample_times",), 0),
+    ("sample_times", ("sample_times",), []),
+    ("sweep", ("sweep",), 0),
+    ("sweep", ("sweep",), []),
+    ("tolerances", ("tolerances",), False),
+    ("time_horizon", ("time_horizon",), -1),
+    ("time_horizon", ("time_horizon",), 0),
 ]
 
 
@@ -374,6 +389,43 @@ def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, fiel
     assert repr(field) in err
 
 
+#: (section, key, value) for every field FIELDS lists, each with a value no rule admits
+GENERATED_FIELDS = [
+    pytest.param(section, key, value, id=f"{section}.{key}={value!r}")
+    for section, fields in FIELDS.items()
+    for key in fields
+    for value in (None, True, {"bad": 1})
+]
+
+
+def _with_field(section, key, value) -> dict:
+    """The group-z2 demo config with section[key] (top level: key) set to value."""
+    payload = copy.deepcopy(_demo_payload("group-z2"))
+    (payload if section is None else payload.setdefault(section, {}))[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("section, key, value", GENERATED_FIELDS)
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_generated_field_exits_two_naming_it(tmp_path, capsys, command, section, key, value):
+    config = write_config(tmp_path, _with_field(section, key, value))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert repr(key) in err
+    assert section is None or repr(section) in err
+
+
+@pytest.mark.parametrize("section, key, value", GENERATED_FIELDS)
+def test_generated_field_is_refused_before_the_bialgebra_is_built(tmp_path, monkeypatch, section, key, value):
+    def unreachable(*args):
+        pytest.fail("the bialgebra was built before a malformed field was refused")
+
+    monkeypatch.setattr("qwalklab.experiment.resolve_bialgebra", unreachable)
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        ExperimentConfig.from_payload(_with_field(section, key, value), tmp_path)
+
+
 GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
 
 
@@ -388,6 +440,17 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         (GROUP_FILE, {"order": "2", "mult_table": [0, 1, 1, 0]}, "group"),
         (GROUP_FILE, {"order": 2, "mult_table": ["0", 1, 1, 0]}, "group"),
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "labels": "ab"}, "group"),
+        (GROUP_FILE, {"order": -1, "mult_table": [0]}, "order"),
+        ({"file": "bad.json"}, {"labels": [1, 2, 3, 4, 5, 6]}, "labels"),
+        ({"file": "bad.json"}, {"labels": 0}, "labels"),
+        ({"file": "bad.json"}, {"labels": ""}, "labels"),
+        ({"file": "bad.json"}, {"name": {"a": 1}}, "name"),
+        ({"file": "bad.json"}, {"name": [1]}, "name"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "labels": [1, 2]}, "labels"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "labels": 0}, "labels"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "labels": ""}, "labels"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": {"a": 1}}, "name"),
+        (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": [1]}, "name"),
     ],
     ids=[
         "group-not-a-group",
@@ -398,6 +461,17 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         "group-string-order",
         "group-string-entry",
         "group-string-labels",
+        "group-negative-order",
+        "bialgebra-integer-labels",
+        "bialgebra-zero-labels",
+        "bialgebra-empty-labels",
+        "bialgebra-object-name",
+        "bialgebra-list-name",
+        "group-integer-labels",
+        "group-zero-labels",
+        "group-empty-labels",
+        "group-object-name",
+        "group-list-name",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "sweep"])

@@ -61,6 +61,12 @@ def test_payload_round_trip():
     assert back.labels == g.labels
 
 
+@pytest.mark.parametrize("order, mult_table", [(-1, [0]), (0, [])])
+def test_payload_order_below_one_is_a_group_table_error(order, mult_table):
+    with pytest.raises(GroupTableError, match="'order'"):
+        FiniteGroup.from_payload({"order": order, "mult_table": mult_table})
+
+
 def test_cyclic_characters_orthogonal():
     table = cyclic_character_table(5)
     gram = table @ table.conj().T
