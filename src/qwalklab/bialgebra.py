@@ -406,6 +406,9 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
         integer(dim)
     except FormatError as exc:
         raise FormatError(f"invalid 'dim': {exc}") from exc
+    shape = fields["mult"].shape
+    if shape[:1] != (dim,):  # before labels_and_name builds anything of length dim
+        raise FormatError(f"invalid 'dim': {dim} does not match the structure constants of shape {shape}")
     labels, name = labels_and_name(payload, dim, "b", "B")
     return CounitalBialgebra(name=name, labels=labels, **fields)
 

@@ -2,11 +2,12 @@
 
 Two maps f, g convolve to (f * g)(b_i) = sum_{jk} Delta_i^{jk} f(b_j)
 (x) g(b_k); matrix values combine by Kronecker product, so iterated
-convolution targets grow geometrically and are guarded by an explicit
-dimension cap.  The n-fold convolution of a walk step is the n-step
-walk; its lifted form (coefficients in B tensor operators) composes by
-(Psi_{n-1} (x) id) o Psi, and applying the counit to the lift recovers
-the convolution iterate.
+convolution targets grow geometrically, and an array of more than
+MAX_LIFTED_ENTRIES complex entries is refused before it is built.  The
+n-fold convolution of a walk step is the n-step walk; its lifted form
+(coefficients in B tensor operators) composes by (Psi_{n-1} (x) id) o
+Psi, and applying the counit to the lift recovers the convolution
+iterate.
 
 That last identity, (eps (x) id) o Psi^{o n} = psi^{* n}, holds for any
 tensors Delta and eps, with no bialgebra axiom behind it: contracting
@@ -14,8 +15,8 @@ eps early turns the composition into the same recursion as
 convolution_iterates.  check_compatibility therefore compares two
 evaluation orders; a pass confirms the index conventions of the two
 routes, and coassociativity itself is checked by verify_bialgebra.  The
-lifted iterate holds dim(B)^2 K^(2n) complex entries, at most
-MAX_LIFTED_ENTRIES.
+lifted iterate holds dim(B)^2 K^(2n) complex entries, the convolution
+iterate dim(B) K^(2n).
 
 Convolution exponentials exp_*(t psi) of a functional psi are computed
 by materializing the one-sided convolution operator T_psi = (id (x)
@@ -34,7 +35,6 @@ from .structure_maps import OperatorMap
 
 __all__ = [
     "DimensionCapExceeded",
-    "DEFAULT_DIMENSION_CAP",
     "MAX_LIFTED_ENTRIES",
     "convolve",
     "convolve_functionals",
@@ -47,43 +47,33 @@ __all__ = [
     "ConvolutionSemigroup",
 ]
 
-DEFAULT_DIMENSION_CAP = 4096
-
-#: complex entries a lifted iterate Psi^{o n} may hold (2**24, 268 MB)
+#: complex entries any array built here may hold (2**24, 268 MB)
 MAX_LIFTED_ENTRIES = 2**24
 
 
 class DimensionCapExceeded(RuntimeError):
-    """A materialized tensor target would exceed the configured cap."""
+    """An array would hold more than MAX_LIFTED_ENTRIES complex entries."""
 
 
-def _check_cap(dim: int, cap: int):
-    if dim > cap:
-        raise DimensionCapExceeded(
-            f"materialized target dimension {dim} exceeds cap {cap}; "
-            "raise the cap or reduce the iterate depth"
-        )
-
-
-def _check_lifted(dim: int, k: int, n: int):
-    """Refuse a lifted iterate Psi^{o n} of more than MAX_LIFTED_ENTRIES = dim^2 k^(2n) entries.
+def _check_entries(rows: int, k: int, n: int = 1):
+    """Refuse an array of rows x k^n x k^n complex entries past MAX_LIFTED_ENTRIES.
 
     Past n = 12 any k > 1 exceeds the bound, so the power is taken at n <= 13 only.
     """
-    if dim**2 * k ** (2 * min(n, 13)) > MAX_LIFTED_ENTRIES:
+    if rows * k ** (2 * min(n, 13)) > MAX_LIFTED_ENTRIES:
         raise DimensionCapExceeded(
-            f"depth {n} would materialize {dim}^2 x {k}^{2 * n} lifted entries, more than {MAX_LIFTED_ENTRIES}"
+            f"{rows} x {k}^{2 * n} complex entries are more than the fixed bound of {MAX_LIFTED_ENTRIES}"
         )
 
 
-def convolve(f: OperatorMap, g: OperatorMap, cap: int = DEFAULT_DIMENSION_CAP) -> OperatorMap:
+def convolve(f: OperatorMap, g: OperatorMap) -> OperatorMap:
     """(f * g)(b_i) = sum_{jk} Delta_i^{jk} f(b_j) (x) g(b_k)."""
     b = f.source
     if g.source is not b and g.source.dim != b.dim:
         raise ValueError("convolution factors live on different bialgebras")
-    _check_cap(f.dim * g.dim, cap)
-    out = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, f.mats, g.mats, optimize=True)
     k = f.dim * g.dim
+    _check_entries(b.dim, k)
+    out = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, f.mats, g.mats, optimize=True)
     out = out.reshape(b.dim, k, k)
     out.setflags(write=False)  # fresh: OperatorMap keeps it without a copy
     return OperatorMap(b, out)
@@ -99,15 +89,15 @@ def transfer_matrix(b: CounitalBialgebra, psi) -> np.ndarray:
     return np.einsum("ijk,k->ij", b.coproduct, as_complex_array(psi))
 
 
-def convolution_iterates(psi: OperatorMap, n: int, cap: int = DEFAULT_DIMENSION_CAP) -> OperatorMap:
+def convolution_iterates(psi: OperatorMap, n: int) -> OperatorMap:
     """psi^{*n}; psi^{*0} is the counit (1x1 matrices)."""
     if n < 0:
         raise ValueError("iterate count must be nonnegative")
     b = psi.source
-    _check_cap(psi.dim**n, cap)
+    _check_entries(b.dim, psi.dim, n)
     out = OperatorMap.from_functional(b, b.counit)
     for _ in range(n):
-        out = convolve(out, psi, cap=cap)
+        out = convolve(out, psi)
     return out
 
 
@@ -142,13 +132,12 @@ def lift(psi: OperatorMap) -> LiftedMap:
     return LiftedMap(b, np.einsum("ijk,kab->ijab", b.coproduct, psi.mats))
 
 
-def composition_iterates(psi_lifted: LiftedMap, n: int, cap: int = DEFAULT_DIMENSION_CAP) -> LiftedMap:
+def composition_iterates(psi_lifted: LiftedMap, n: int) -> LiftedMap:
     """Psi^{o n} = (Psi^{o n-1} (x) id) o Psi; Psi^{o 0} is the identity lift."""
     if n < 0:
         raise ValueError("iterate count must be nonnegative")
     b = psi_lifted.source
-    _check_cap(psi_lifted.dim**n, cap)
-    _check_lifted(b.dim, psi_lifted.dim, n)
+    _check_entries(b.dim**2, psi_lifted.dim, n)
     out = LiftedMap(b, np.eye(b.dim, dtype=complex).reshape(b.dim, b.dim, 1, 1))
     for _ in range(n):
         merged = np.einsum("jlAB,ijab->ilAaBb", out.blocks, psi_lifted.blocks)
@@ -158,10 +147,10 @@ def composition_iterates(psi_lifted: LiftedMap, n: int, cap: int = DEFAULT_DIMEN
     return out
 
 
-def check_compatibility(psi: OperatorMap, n: int, cap: int = DEFAULT_DIMENSION_CAP) -> float:
+def check_compatibility(psi: OperatorMap, n: int) -> float:
     """Distance between (eps (x) id) o Psi^{o n} and psi^{* n}."""
-    composed = composition_iterates(lift(psi), n, cap=cap).counit_contract()
-    convolved = convolution_iterates(psi, n, cap=cap)
+    composed = composition_iterates(lift(psi), n).counit_contract()
+    convolved = convolution_iterates(psi, n)
     return composed.distance(convolved)
 
 

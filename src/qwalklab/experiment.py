@@ -24,10 +24,9 @@ from .bialgebra import (
 from .cbnorm import amplified_norm
 from .cocycle import CocycleEvaluator, assoc_generator
 from .convolution import (
-    DEFAULT_DIMENSION_CAP,
     ConvolutionSemigroup,
     DimensionCapExceeded,
-    _check_lifted,
+    _check_entries,
     check_compatibility,
     convolve_functionals,
 )
@@ -106,6 +105,10 @@ MAX_SWEEP_COUNT = 64
 #: the most step lengths identity_h may list (each builds a walk and checks an identity)
 MAX_IDENTITY_H = 64
 
+#: the most step-function pairs, and the most sample times, a config may list (the sweep's cost grows linearly in each)
+MAX_PAIRS = 64
+MAX_SAMPLE_TIMES = 64
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -123,24 +126,40 @@ def _object(value) -> dict:
     return value
 
 
-def _list(value) -> list:
+def _list(value, most: int | None = None) -> list:
+    """A nonempty list, of at most `most` entries when most is given."""
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"expected a nonempty list, got {value!r}")
+    if most is not None and len(value) > most:
+        raise ValueError(f"expected at most {most} entries, got {len(value)}")
     return value
 
 
-def _numbers(value) -> tuple[float, ...]:
-    return tuple(finite_number(v) for v in _list(value))
+def _numbers(value, most: int | None = None) -> tuple[float, ...]:
+    return tuple(finite_number(v) for v in _list(value, most))
 
 
 def _step_lengths(value) -> tuple[float, ...]:
     """Step lengths in (0, 1]: scaled_identity_h brings h ||xi||^2 under 1 only for h <= 1."""
-    if len(_list(value)) > MAX_IDENTITY_H:
-        raise ValueError(f"at most {MAX_IDENTITY_H} step lengths, got {len(value)}")
-    steps = _numbers(value)
+    steps = _numbers(value, MAX_IDENTITY_H)
     if not all(0 < h <= 1 for h in steps):
         raise ValueError(f"step lengths must lie in (0, 1], got {list(steps)}")
     return steps
+
+
+def _time_label(t: float) -> str:
+    """A sample time's part of an error-column label; it keeps 6 significant digits."""
+    return f"t{t:g}"
+
+
+def _sample_times(value) -> tuple[float, ...]:
+    """Sample times whose error-column labels all differ: equal labels would share one column."""
+    times = _numbers(value, MAX_SAMPLE_TIMES)
+    labels = [_time_label(t) for t in times]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"two sample times share the column label {label!r} (6 significant digits)")
+    return times
 
 
 def _positive(value) -> float:
@@ -186,7 +205,7 @@ def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
     if value == []:
         raise ValueError("at least one step-function pair is required")
     pairs = []
-    for k, pair in enumerate(_list(value)):
+    for k, pair in enumerate(_list(value, MAX_PAIRS)):
         try:
             pairs.append((step_function_from_payload(pair["f"]), step_function_from_payload(pair["g"])))
         except (KeyError, TypeError, ValueError) as exc:
@@ -235,10 +254,9 @@ FIELDS = {
         "sweep": (_object, {}),
         "step_function_pairs": (_pairs, _REQUIRED),
         "time_horizon": (_positive, 1.0),
-        "sample_times": (_numbers, None),  # absent: the time horizon alone
+        "sample_times": (_sample_times, None),  # absent: the time horizon alone
         "probes": (_probes, "all"),
         "compatibility_depth": (_natural, 3),
-        "dimension_cap": (_natural, DEFAULT_DIMENSION_CAP),
         "identity_h": (_step_lengths, (0.5, 0.1, 0.01)),
         "final_error_bound": (_positive, 1e-2),
     },
@@ -271,25 +289,20 @@ def _fields(payload: dict, section: str | None = None) -> dict:
     return out
 
 
-def _resolve_group(spec, base_dir: Path) -> FiniteGroup:
+def _resolve_group(spec, base_dir: Path) -> tuple[FiniteGroup, list]:
+    """The group spec names and its closed-form nontrivial characters.
+
+    Only a builtin name brings characters; a group file's 'name' is a label, so its algebra carries the counit only.
+    """
     if isinstance(spec, dict):
-        return FiniteGroup.from_payload(read_json(base_dir.joinpath(spec["file"])))
+        return FiniteGroup.from_payload(read_json(base_dir.joinpath(spec["file"]))), []
     if m := re.fullmatch(r"[zZ](\d+)", spec):
-        return cyclic_group(int(m[1]))
+        group = cyclic_group(int(m[1]))
+        return group, list(cyclic_character_table(group.order)[1:])
     if m := re.fullmatch(r"[sS]([1-4])", spec):
-        return symmetric_group(int(m[1]))
+        n = int(m[1])
+        return symmetric_group(n), [symmetric_sign_character(n)] if n >= 2 else []
     raise ValueError(f"unknown group name {spec!r}; the builtin groups are z1..z64 and s1..s4")
-
-
-def _builtin_extra_characters(group: FiniteGroup):
-    """Closed-form nontrivial characters for the supported builtin groups."""
-    m = re.fullmatch(r"Z(\d+)", group.name)
-    if m:
-        return list(cyclic_character_table(int(m.group(1)))[1:])
-    m = re.fullmatch(r"S(\d+)", group.name)
-    if m and int(m.group(1)) >= 2:
-        return [symmetric_sign_character(int(m.group(1)))]
-    return []
 
 
 def resolve_bialgebra(section, base_dir: Path, axiom_tol: float = DEFAULT_TOLERANCES["axioms"]) -> CounitalBialgebra:
@@ -305,12 +318,12 @@ def resolve_bialgebra(section, base_dir: Path, axiom_tol: float = DEFAULT_TOLERA
     if section.get("builtin") is None or section.get("group") is None:
         raise ConfigError("'bialgebra' needs a 'builtin' and a 'group', or a 'file'")
     try:
-        group = _resolve_group(section["group"], base_dir)
+        group, characters = _resolve_group(section["group"], base_dir)
     except (TypeError, ValueError) as exc:  # a GroupTableError, FormatError or malformed table
         raise ConfigError(f"invalid 'group' in 'bialgebra': {exc}") from exc
     if section["builtin"] == "function_algebra":
         return build_function_algebra(group)
-    return build_group_algebra(group, extra_characters=_builtin_extra_characters(group))
+    return build_group_algebra(group, extra_characters=characters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +337,6 @@ class ExperimentConfig:
     identity_h: tuple[float, ...]
     probes: tuple[int, ...]
     compatibility_depth: int
-    dimension_cap: int
     tolerances: dict[str, float]
     final_error_bound: float
     time_horizon: float
@@ -388,16 +400,11 @@ class ExperimentConfig:
         probes = tuple(range(b.dim)) if cfg["probes"] == "all" else cfg["probes"]
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"invalid 'probes': probe indices must lie in 0..{b.dim - 1}")
-        depth, cap = cfg["compatibility_depth"], cfg["dimension_cap"]
-        try:
-            _check_lifted(b.dim, noise_dim + 1, depth)
+        depth = cfg["compatibility_depth"]
+        try:  # the lifted iterate, the largest array the compatibility check builds
+            _check_entries(b.dim**2, noise_dim + 1, depth)
         except DimensionCapExceeded as exc:
             raise ConfigError(f"invalid 'compatibility_depth': {exc}") from exc
-        if (noise_dim + 1) ** depth > cap:
-            raise ConfigError(
-                f"compatibility depth {depth} would materialize dimension "
-                f"{(noise_dim + 1) ** depth} > cap {cap}"
-            )
         return cls(
             bialgebra=b,
             chi=chi,
@@ -408,7 +415,6 @@ class ExperimentConfig:
             identity_h=cfg["identity_h"],
             probes=probes,
             compatibility_depth=depth,
-            dimension_cap=cap,
             tolerances=tol,
             final_error_bound=cfg["final_error_bound"],
             time_horizon=horizon,
@@ -526,7 +532,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     _check(
         report,
         "compatibility",
-        check_compatibility(psi, config.compatibility_depth, cap=config.dimension_cap),
+        check_compatibility(psi, config.compatibility_depth),
         tol["compatibility"],
         depth=config.compatibility_depth,
     )
@@ -555,7 +561,7 @@ def _probe_points(config: ExperimentConfig):
     for k, (f, g) in enumerate(config.pairs):
         for t in config.sample_times:
             for probe in config.probes:
-                yield f"p{k}_t{t:g}_b{probe}", f, g, t, probe
+                yield f"p{k}_{_time_label(t)}_b{probe}", f, g, t, probe
 
 
 def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, complex], h: float) -> dict:

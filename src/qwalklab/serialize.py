@@ -66,7 +66,7 @@ def integer(value) -> int:
 
 def labels_and_name(payload: dict, count: int, prefix: str, name: str) -> tuple[tuple[str, ...], str]:
     """payload's 'labels', count strings (absent: prefix0, prefix1, ...), and its 'name', a string (absent: name)."""
-    labels = payload.get("labels", [f"{prefix}{i}" for i in range(count)])
+    labels = payload["labels"] if "labels" in payload else [f"{prefix}{i}" for i in range(count)]
     if not (isinstance(labels, list) and len(labels) == count and all(isinstance(x, str) for x in labels)):
         raise FormatError(f"invalid 'labels': expected a list of {count} strings, got {labels!r}")
     name = payload.get("name", name)

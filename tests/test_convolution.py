@@ -110,17 +110,25 @@ def test_convolve_rejects_mismatched_sources(c_z2, group_s3):
         convolve(f, g)
 
 
-def test_dimension_cap(group_z2):
+def test_dimension_cap(group_z2, monkeypatch):
+    # psi^{*13} would hold 2 (2^13)^2 = 2^27 entries, and wide * wide 2 (64^2)^2 = 2^25; both are
+    # refused before einsum builds anything
+    def unreachable(*args, **kwargs):
+        pytest.fail("einsum ran before the entry count was checked")
+
     psi = random_map(group_z2, 2, 13)
+    wide = random_map(group_z2, 64, 16)
+    assert group_z2.dim * (wide.dim * wide.dim) ** 2 > MAX_LIFTED_ENTRIES
+    monkeypatch.setattr(np, "einsum", unreachable)
     with pytest.raises(DimensionCapExceeded):
         convolution_iterates(psi, 13)
     with pytest.raises(DimensionCapExceeded):
-        convolve(psi, psi, cap=3)
+        convolve(wide, wide)
 
 
 def test_lifted_iterate_bound(group_z2):
-    # K^n = 2^12 passes the default cap, but the lift would hold 2^2 (2^12)^2 = 2^26 entries;
-    # both calls refuse before allocating anything
+    # the lift Psi^{o 12} would hold 2^2 (2^12)^2 = 2^26 entries; both calls refuse before
+    # allocating anything
     psi = random_map(group_z2, 2, 13)
     assert group_z2.dim**2 * 2 ** (2 * 12) > MAX_LIFTED_ENTRIES
     with pytest.raises(DimensionCapExceeded):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from qwalklab import ConfigError, ExperimentConfig, run_sweep, run_verify, write_demo
 from qwalklab.bialgebra import bialgebra_to_payload, build_group_algebra
 from qwalklab.cli import main
-from qwalklab.experiment import DEMO_NAMES, FIELDS, _demo_payload
+from qwalklab.experiment import DEMO_NAMES, FIELDS, _demo_payload, resolve_bialgebra
 from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
 
@@ -72,7 +73,7 @@ def test_config_label_falls_back_to_stem(tmp_path):
         ({"sample_times": [2.0]}, "sample times"),
         ({"probes": [0, 7]}, "probe indices"),
         ({"tolerances": {"nope": 1.0}}, "unknown key 'nope' in 'tolerances'"),
-        ({"compatibility_depth": 9, "dimension_cap": 64}, "cap"),
+        ({"dimension_cap": 64}, "unknown key 'dimension_cap'"),
         ({"character": 9}, "character index"),
         ({"time_horizon": 0, "sample_times": [0.0]}, "time_horizon"),
         ({"triple": {"pi": "character:1"}}, "missing 'xi'"),
@@ -302,7 +303,6 @@ MALFORMED_FIELDS = [
     ("time_horizon", ("time_horizon",), "x"),
     ("sample_times", ("sample_times",), "x"),
     ("compatibility_depth", ("compatibility_depth",), "x"),
-    ("dimension_cap", ("dimension_cap",), "x"),
     ("noise_dim", ("noise_dim",), "x"),
     ("final_error_bound", ("final_error_bound",), "x"),
     ("tolerances", ("tolerances",), [1]),
@@ -325,7 +325,6 @@ MALFORMED_FIELDS = [
     ("probes", ("probes",), [1.9]),
     ("compatibility_depth", ("compatibility_depth",), 2.5),
     ("noise_dim", ("noise_dim",), 1.5),
-    ("dimension_cap", ("dimension_cap",), 64.5),
     ("identity_h", ("identity_h",), [0.1] * 100_000),
     ("compatibility_depth", ("compatibility_depth",), 12),
     ("character", ("character",), True),
@@ -368,6 +367,11 @@ MALFORMED_FIELDS = [
     ("tolerances", ("tolerances",), False),
     ("time_horizon", ("time_horizon",), -1),
     ("time_horizon", ("time_horizon",), 0),
+    ("dimension_cap", ("dimension_cap",), 4096),
+    ("sample_times", ("sample_times",), [0.5, 0.5000001]),
+    ("sample_times", ("sample_times",), [1.0, 1.0]),
+    ("sample_times", ("sample_times",), [k / 65 for k in range(1, 66)]),
+    ("step_function_pairs", ("step_function_pairs",), _demo_payload("group-z2")["step_function_pairs"][:1] * 65),
 ]
 
 
@@ -451,6 +455,7 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "labels": ""}, "labels"),
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": {"a": 1}}, "name"),
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": [1]}, "name"),
+        ({"file": "bad.json"}, {"dim": 1000000}, "dim"),
     ],
     ids=[
         "group-not-a-group",
@@ -472,6 +477,7 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         "group-empty-labels",
         "group-object-name",
         "group-list-name",
+        "bialgebra-huge-dim",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -485,6 +491,34 @@ def test_cli_malformed_file_exits_two_naming_it(tmp_path, capsys, command, bialg
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert repr(field) in err
+
+
+#: the Klein four-group, named like the builtin cyclic group of the same order
+KLEIN_AS_Z4 = {"order": 4, "mult_table": [i ^ j for i in range(4) for j in range(4)], "name": "Z4"}
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_group_file_algebra_carries_the_counit_only(tmp_path, capsys, command):
+    # closed-form characters come with a builtin group name, never with a group file's 'name'
+    write_json(tmp_path / "klein.json", KLEIN_AS_Z4)
+    section = {"builtin": "group_algebra", "group": {"file": "klein.json"}}
+    assert resolve_bialgebra(section, tmp_path).characters.shape == (1, 4)
+    assert resolve_bialgebra({"builtin": "group_algebra", "group": "z4"}, None).characters.shape == (4, 4)
+    payload = base_payload(bialgebra=section, character=1, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid 'character'")
+
+
+def test_readme_config_format_names_every_field():
+    # the README's "Config format" section names, in backticks, every key FIELDS reads outside
+    # 'tolerances' (whose keys are the report's check names), and no retired key
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    keys = {key for name, fields in FIELDS.items() if name != "tolerances" for key in fields}
+    assert sorted(key for key in keys if f"`{key}`" not in section) == []
+    assert "dimension_cap" not in section
 
 
 def test_cli_internal_error_exits_three(tmp_path, capsys, monkeypatch):
