@@ -29,12 +29,16 @@ accepted value is a certified lower bound.  Neither depends on the
 representation, so a start in B climbs through the same elements of B
 on the blocks as on rep.  All starts climb together as one stack.  P
 and the start stack depend only on (bialgebra, amp), which all rows of a
-sweep share, so the last such frame is kept.  The random starts are
+sweep share.  The memo is functools.lru_cache(maxsize=1) on _frame: the
+key is its arguments, where the bialgebra (frozen, with read-only
+arrays) compares by identity and amp by value.  The random starts are
 seeded draws from the stdlib generator (linalg.standard_normal): numpy's
 random module would add about 6 MB of resident memory and 19 ms of
 import to every run for this one batch.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -77,8 +81,9 @@ class AmplifiedMap:
         return g.reshape(u.shape[:-1] + (r * m, r * m))
 
 
+@functools.lru_cache(maxsize=1)
 def _frame(source, amp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (P, P^H, starts) for this bialgebra (compared by identity) and amp.
+    """Read-only (P, P^H, starts) for this bialgebra and amp.
 
     The starts are the identity, kron(rho_i / ||rho_i||, 1_amp) for each
     block_rep basis element and a fixed-seed batch of random unitaries,
@@ -86,27 +91,19 @@ def _frame(source, amp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (random.Random through linalg.standard_normal), which keeps numpy's
     random module, its memory and its import time out of the process.
     """
-    global _last_frame
-    entry = _last_frame
-    if entry is None or entry[0] is not source or entry[1] != amp:
-        rep = source.block_rep
-        flat = rep.reshape(len(rep), -1)
-        # dual basis g_i in span(rho): <g_i, rho_j>_HS = delta_ij
-        dual = np.conjugate(np.linalg.inv(np.conjugate(flat) @ flat.T)) @ flat
-        pairing = np.conjugate(dual.T)
-        unit = rep / opnorms(rep)[:, None, None]
-        n = rep.shape[1] * amp
-        basis = (unit[:, :, None, :, None] * np.eye(amp, dtype=complex)[None, None, :, None, :]).reshape(-1, n, n)
-        z = standard_normal(_SEED, (_EXTRA_STARTS, 2, n, n))
-        starts = np.concatenate([np.eye(n, dtype=complex)[None], basis, polar_unitary(z[:, 0] + 1j * z[:, 1])])
-        for arr in (pairing, dual, starts):
-            arr.setflags(write=False)
-        entry = _last_frame = (source, amp, pairing, dual, starts)
-    return entry[2:]
-
-
-#: the last (bialgebra, amp, P, P^H, starts), rebound as one tuple so no reader sees a mix
-_last_frame = None
+    rep = source.block_rep
+    flat = rep.reshape(len(rep), -1)
+    # dual basis g_i in span(rho): <g_i, rho_j>_HS = delta_ij
+    dual = np.conjugate(np.linalg.inv(np.conjugate(flat) @ flat.T)) @ flat
+    pairing = np.conjugate(dual.T)
+    unit = rep / opnorms(rep)[:, None, None]
+    n = rep.shape[1] * amp
+    basis = (unit[:, :, None, :, None] * np.eye(amp, dtype=complex)[None, None, :, None, :]).reshape(-1, n, n)
+    z = standard_normal(_SEED, (_EXTRA_STARTS, 2, n, n))
+    starts = np.concatenate([np.eye(n, dtype=complex)[None], basis, polar_unitary(z[:, 0] + 1j * z[:, 1])])
+    for arr in (pairing, dual, starts):
+        arr.setflags(write=False)
+    return pairing, dual, starts
 
 
 def amplified_norm(theta: OperatorMap, amp: int | None = None) -> float:

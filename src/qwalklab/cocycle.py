@@ -17,16 +17,19 @@ constant values c_k, d_k and
 is the associated-semigroup generator.  The product runs through
 fock._piecewise_product, the loop that also evaluates the walk.  The
 probe b enters only the final dot product, so the functional is
-evaluated once per (f, g, t) and reused for the next probe: each
-CocycleEvaluator keeps its last row, keyed by f and g by identity and
-by t by value.
+evaluated once per (phi, f, g, t) and reused for the next probe.  The
+memo is functools.lru_cache(maxsize=1) on _limit_functional: the key is
+its arguments, where phi, f and g (frozen, with read-only arrays)
+compare by identity and t by value.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .convolution import ConvolutionSemigroup
-from .fock import StepFunction, _as_coeffs, _matches, _piecewise_product
+from .fock import StepFunction, _as_coeffs, _piecewise_product
 from .linalg import as_complex_array
 from .structure_maps import OperatorMap
 
@@ -50,14 +53,11 @@ class CocycleEvaluator:
         self.phi = phi
         self.source = phi.source
         self.hat = phi.hat
-        self._last = None
 
     def matrix_element(self, b_coeffs, f: StepFunction, g: StepFunction, t: float) -> complex:
         """<eps(f), l_t(b) eps(g)>; b may be a basis index or coefficients.
 
-        The checks run on every call; the convolution row and the tail are
-        reused from the previous call when f and g are the same objects and
-        t is the same.
+        The checks run on every call, before the memoized row and tail are read.
         """
         if t < 0:
             raise ValueError("time must be nonnegative")
@@ -68,12 +68,15 @@ class CocycleEvaluator:
                 f"generator expects {dim}"
             )
         b_coeffs = _as_coeffs(self.source, b_coeffs)
+        row, tail = _limit_functional(self.phi, f, g, t)
+        return complex(np.dot(row, b_coeffs) * tail)
 
-        def exponential(c, d, duration):
-            return ConvolutionSemigroup(self.source, assoc_generator(self.phi, c, d)).at(duration)
 
-        key = (f, g), (t,)
-        entry = self._last
-        if not _matches(entry, *key):
-            entry = self._last = (*key, *_piecewise_product(self.source, f, g, t, exponential))
-        return complex(np.dot(entry[2], b_coeffs) * entry[3])
+@functools.lru_cache(maxsize=1)
+def _limit_functional(phi: OperatorMap, f: StepFunction, g: StepFunction, t: float):
+    """The cocycle's (row, tail) at time t."""
+
+    def exponential(c, d, duration):
+        return ConvolutionSemigroup(phi.source, assoc_generator(phi, c, d)).at(duration)
+
+    return _piecewise_product(phi.source, f, g, t, exponential)

@@ -198,7 +198,13 @@ def _character(value):
 
 
 def _probes(value):
-    return value if value == "all" else tuple(integer(i) for i in _list(value))
+    """'all', or distinct basis indices: a repeated index would share its error column."""
+    if value == "all":
+        return value
+    probes = tuple(integer(i) for i in _list(value))
+    if len(set(probes)) < len(probes):
+        raise ValueError(f"probe indices must be distinct, got {list(probes)}")
+    return probes
 
 
 def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
@@ -557,7 +563,7 @@ def _probe_points(config: ExperimentConfig):
     """(label, f, g, t, probe) for every pair, then sample time, then probe."""
     # The probes of one (pair, t) come in a row, so walk_matrix_element and
     # CocycleEvaluator evaluate each functional once and read every probe
-    # from their last entry.
+    # from their single-entry memo.
     for k, (f, g) in enumerate(config.pairs):
         for t in config.sample_times:
             for probe in config.probes:
@@ -575,8 +581,8 @@ def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, com
         "h": h,
         "n_steps": GridSpec.from_time(max(config.sample_times), h).n,
         "generator_gap": gap,
-        "errors": errors,
         "max_error": max(errors.values()),
+        "errors": dict(sorted(errors.items())),
     }
 
 
@@ -603,16 +609,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
         "schema": REPORT_SCHEMA,
         "label": config.label,
         "mode": "sweep",
-        "rows": [
-            {
-                "h": row["h"],
-                "n_steps": row["n_steps"],
-                "generator_gap": row["generator_gap"],
-                "max_error": row["max_error"],
-                "errors": {k: float(v) for k, v in sorted(row["errors"].items())},
-            }
-            for row in rows
-        ],
+        "rows": rows,
         "error_slope_tail": slope,
         "gap_slope": gap_slope,
         "monotone_tail": monotone_tail,

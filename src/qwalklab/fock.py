@@ -17,14 +17,16 @@ _piecewise_product, which joins one functional per piece left to right
 and returns its coefficient row with the tail factor; only the factor of
 a piece differs (lambda^{*m} here, exp_*(D phi_{c,d}) in cocycle.py).
 The probe b enters only the final dot product, so the functional is
-evaluated once per (psi, f, g, t, h) and reused for the next probe:
-walk_matrix_element keeps its last row in module scope, keyed by psi, f
-and g by identity and by the grid by value.  The (d+1)^n-dimensional
-iterate is never materialized; the materialized route, a Kronecker
-oracle in tests/oracles.py, checks it at small n.
+evaluated once per (psi, f, g, t, h) and reused for the next probe.
+The memo is functools.lru_cache(maxsize=1) on _walk_functional: the key
+is its arguments, where psi, f and g (frozen, with read-only arrays)
+compare by identity and the grid's h and horizon by value.  The
+(d+1)^n-dimensional iterate is never materialized; the materialized
+route, a Kronecker oracle in tests/oracles.py, checks it at small n.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,11 +175,9 @@ def walk_matrix_element(
     and g spanning m cells therefore contributes lambda^{*m}, computed
     as the m-th power of its transfer matrix applied to the counit, and
     the matrix element is the left-to-right convolution of these powers
-    at b, times the tail factor.  The checks run on every call; the
-    convolution row and the tail are reused from the previous call when
-    psi, f and g are the same objects and the grid is the same.
+    at b, times the tail factor.  The checks run on every call, before
+    the memoized row and tail are read.
     """
-    src = psi.source
     grid = GridSpec.from_time(t, h)
     if psi.dim != f.noise_dim + 1 or f.noise_dim != g.noise_dim:
         raise ValueError(
@@ -186,34 +186,22 @@ def walk_matrix_element(
         )
     _validate_alignment(f, grid)
     _validate_alignment(g, grid)
-    b_coeffs = _as_coeffs(src, b_coeffs)
-    root_h = np.sqrt(grid.h)
+    b_coeffs = _as_coeffs(psi.source, b_coeffs)
+    row, tail = _walk_functional(psi, f, g, grid.h, grid.horizon)
+    return complex(np.dot(row, b_coeffs) * tail)
+
+
+@functools.lru_cache(maxsize=1)
+def _walk_functional(psi: OperatorMap, f: StepFunction, g: StepFunction, h: float, horizon: float):
+    """The walk's (row, tail) over the grid of n = horizon / h cells of width h."""
+    src, root_h = psi.source, np.sqrt(h)
 
     def power(c, d, duration):
         u, v = psi.hat.hat(root_h * c), psi.hat.hat(root_h * d)
         lam = np.einsum("a,iab,b->i", np.conjugate(u), psi.mats, v)
-        return np.linalg.matrix_power(transfer_matrix(src, lam), round(duration / grid.h)) @ src.counit
+        return np.linalg.matrix_power(transfer_matrix(src, lam), round(duration / h)) @ src.counit
 
-    global _last_walk
-    key = (psi, f, g), (grid.horizon, grid.h)
-    entry = _last_walk
-    if not _matches(entry, *key):
-        entry = _last_walk = (*key, *_piecewise_product(src, f, g, grid.horizon, power))
-    return complex(np.dot(entry[2], b_coeffs) * entry[3])
-
-
-#: the last walk functional, (objects, values, row, tail); rebound as one
-#: tuple, so a concurrent caller can miss it but never read a mixed entry
-_last_walk = None
-
-
-def _matches(entry, objects: tuple, values: tuple) -> bool:
-    """Whether entry was made for these objects (compared by identity) and values (by equality).
-
-    The entry holds its objects, so their ids cannot be recycled; they
-    are frozen and hold read-only arrays, so identity fixes their content.
-    """
-    return entry is not None and entry[1] == values and all(a is b for a, b in zip(entry[0], objects))
+    return _piecewise_product(src, f, g, horizon, power)
 
 
 def _piecewise_product(src, f: StepFunction, g: StepFunction, t: float, factor) -> tuple[np.ndarray, complex]:

@@ -20,7 +20,7 @@ the case D = I, and one builder serves both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -315,13 +315,7 @@ class CPDecompositionReport:
     phitilde_one_negative: bool
 
     def as_dict(self) -> dict:
-        return {
-            "cp_residual": self.cp_residual,
-            "phi1_is_cp": self.phi1_is_cp,
-            "phi2_at_unit_min_eig": self.phi2_at_unit_min_eig,
-            "phi_at_unit_max_eig": self.phi_at_unit_max_eig,
-            "phitilde_one_negative": self.phitilde_one_negative,
-        }
+        return asdict(self)
 
 
 def cp_block_matrix(phi: OperatorMap) -> np.ndarray:

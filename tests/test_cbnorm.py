@@ -16,6 +16,7 @@ from qwalklab.groups import symmetric_sign_character
 from qwalklab.structure_maps import gap_map
 
 from .oracles import apply_amplified, dual_basis, hs_expectation, sampled_lower_bound, serial_amplified_norm
+from .test_fock import count_calls
 
 
 def random_map(rng, b, k=2):
@@ -66,17 +67,21 @@ def test_matmul_contraction_matches_two_einsum_reference(all_bialgebras, extra):
 
 
 def test_frame_is_reused_only_under_the_same_key(monkeypatch, group_s3, c_s3, group_z2):
-    # each call changes the bialgebra or amp against the call before; the
-    # copy of C[S3] equals group_s3 field by field but is a new object
+    # each call changes the bialgebra or amp against the call before, so
+    # each builds one frame; the copy of C[S3] equals group_s3 field by
+    # field but is a new object, so it is a new key
+    built = count_calls(monkeypatch, cbnorm, "standard_normal")
     copy = build_group_algebra(symmetric_group(3), extra_characters=[symmetric_sign_character(3)])
     rng = np.random.default_rng(17)
     thetas = {id(b): random_map(rng, b) for b in (group_s3, c_s3, group_z2, copy)}
     order = [(group_s3, 2), (group_s3, 4), (c_s3, 4), (c_s3, 2), (group_z2, 2), (group_z2, 4), (group_s3, 4), (copy, 4), (copy, 2)]
+    cbnorm._frame.cache_clear()
     got = [amplified_norm(thetas[id(b)], amp) for b, amp in order]
+    assert len(built) == len(order)
     for (b, amp), value in zip(order, got):
-        monkeypatch.setattr(cbnorm, "_last_frame", None)
+        cbnorm._frame.cache_clear()
         assert value == amplified_norm(thetas[id(b)], amp)
-    for arr in cbnorm._last_frame[2:]:
+    for arr in cbnorm._frame(copy, 2):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
 

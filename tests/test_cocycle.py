@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import qwalklab.cocycle as cocycle
 from qwalklab import (
     CocycleEvaluator,
     ConvolutionSemigroup,
     ExperimentConfig,
+    OperatorMap,
     StepFunction,
     assoc_generator,
     build_walk,
@@ -14,7 +16,7 @@ from qwalklab import (
 )
 from qwalklab.experiment import _demo_payload
 
-from .test_fock import REUSE_TIMES, gray_order
+from .test_fock import REUSE_TIMES, count_calls, gray_order
 from .test_structure_maps import two_character_triple
 
 
@@ -64,18 +66,26 @@ def test_noise_dim_mismatch_rejected(z2_phi):
         CocycleEvaluator(z2_phi).matrix_element(0, f, f, 1.0)
 
 
-def test_limit_reuses_its_functional_only_under_the_same_key(s3_demo_config):
-    # each call changes one of f, g and t against the call before; every
-    # probe must equal, bit for bit, an evaluation by a new evaluator
+def test_limit_reuses_its_functional_only_under_the_same_key(monkeypatch, s3_demo_config):
+    # each call changes one of phi, f, g and t against the call before, so
+    # each evaluates one functional and reads every probe from it; every probe
+    # must equal, bit for bit, an evaluation on a generator and step functions
+    # with equal arrays but new identities, which the memo holds as a new key
+    # even right after the originals
+    evaluated = count_calls(monkeypatch, cocycle, "_piecewise_product")
     config = s3_demo_config
     phi = config.generator()
-    evaluator = CocycleEvaluator(phi)
     (f0, g0), (f1, g1) = config.pairs
-    order = list(gray_order((f0, f1), (g0, g1), REUSE_TIMES))
-    got = [[evaluator.matrix_element(b, f, g, t) for b in config.probes] for f, g, t in order]
-    for (f, g, t), values in zip(order, got):
-        fresh = CocycleEvaluator(phi)
+    order = list(gray_order((phi, phi * 0.5), (f0, f1), (g0, g1), REUSE_TIMES))
+    got = [[CocycleEvaluator(p).matrix_element(b, f, g, t) for b in config.probes] for p, f, g, t in order]
+    assert len(evaluated) == len(order)
+    for (p, f, g, t), values in zip(order, got):
+        CocycleEvaluator(p).matrix_element(0, f, g, t)
+        fresh = CocycleEvaluator(OperatorMap(p.source, p.mats))
+        f, g = (StepFunction(fn.durations, fn.values) for fn in (f, g))
+        before = len(evaluated)
         assert values == [fresh.matrix_element(b, f, g, t) for b in config.probes]
+        assert len(evaluated) == before + 1
 
 
 def test_limit_checks_every_call_before_reuse(z2_phi):

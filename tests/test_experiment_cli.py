@@ -372,6 +372,8 @@ MALFORMED_FIELDS = [
     ("sample_times", ("sample_times",), [1.0, 1.0]),
     ("sample_times", ("sample_times",), [k / 65 for k in range(1, 66)]),
     ("step_function_pairs", ("step_function_pairs",), _demo_payload("group-z2")["step_function_pairs"][:1] * 65),
+    ("probes", ("probes",), [0, 0]),
+    ("probes", ("probes",), [1, 0, 1]),
 ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qwalklab.fock as fock
 from qwalklab import (
     FormatError,
     GridSpec,
@@ -175,23 +176,42 @@ def gray_order(*choices):
         yield tuple(options[(code >> i) & 1] for i, options in enumerate(choices))
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that appends to the returned list on each call."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 REUSE_STEPS = (0.25, 0.125)
 REUSE_TIMES = (0.5, 1.0)
 
 
-def test_walk_reuses_its_functional_only_under_the_same_key(s3_demo_config):
-    # each call changes one of psi, h, f, g and t against the call before;
-    # every probe must equal, bit for bit, an evaluation on a walk and step
-    # functions with equal arrays but new identities, which no entry matches
+def test_walk_reuses_its_functional_only_under_the_same_key(monkeypatch, s3_demo_config):
+    # each call changes one of psi, h, f, g and t against the call before, so
+    # each evaluates one functional and reads every probe from it; every probe
+    # must equal, bit for bit, an evaluation on a walk and step functions with
+    # equal arrays but new identities, which the memo holds as a new key even
+    # right after the originals
+    evaluated = count_calls(monkeypatch, fock, "_piecewise_product")
     config = s3_demo_config
     (f0, g0), (f1, g1) = config.pairs
     walks = [(h, build_walk(config.triple, config.chi, h)) for h in REUSE_STEPS]
     order = list(gray_order(walks, REUSE_STEPS, (f0, f1), (g0, g1), REUSE_TIMES))
     got = [[walk_matrix_element(psi, b, f, g, t, h) for b in config.probes] for (_, psi), h, f, g, t in order]
-    for ((walk_h, _), h, f, g, t), values in zip(order, got):
+    assert len(evaluated) == len(order)
+    for ((walk_h, psi), h, f, g, t), values in zip(order, got):
+        walk_matrix_element(psi, 0, f, g, t, h)
         fresh = build_walk(config.triple, config.chi, walk_h)
         f, g = (StepFunction(fn.durations, fn.values) for fn in (f, g))
+        before = len(evaluated)
         assert values == [walk_matrix_element(fresh, b, f, g, t, h) for b in config.probes]
+        assert len(evaluated) == before + 1
 
 
 def test_walk_checks_every_call_before_reuse(group_z2, z2_sign_triple):
