@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .groups import FiniteGroup
-from .linalg import as_complex_array, dag, readonly, standard_normal
+from .linalg import as_complex_array, compress, dag, readonly, standard_normal
 from .serialize import FormatError, decode_complex_array, encode_complex_array, integer, labels_and_name
 
 __all__ = [
@@ -168,7 +168,7 @@ def _irreducible_blocks(rep: np.ndarray) -> np.ndarray:
             bases.append(q)
             chars.append(char)
     q = np.concatenate(bases, axis=1)
-    blocks = np.einsum("ak,iab,bl->ikl", np.conjugate(q), rep, q, optimize=True)
+    blocks = compress(rep, q)
     owner = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
     return readonly(blocks * (owner[:, None] == owner[None, :]))
 

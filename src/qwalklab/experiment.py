@@ -8,6 +8,7 @@ and matrix-element errors against the cocycle limit.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,13 +61,12 @@ from .structure_maps import (
     cp_block_matrix,
     default_decomposition_vector,
     extract_implementing_pair,
-    gap_map,
     structure_map_from_pair,
     verify_cp_decomposition,
     verify_structure_relation,
     OperatorMap,
 )
-from .walk import build_unitary, build_walk, verify_error_identity, vector_state_check
+from .walk import build_unitary, build_walk, gap_map, verify_error_identity, vector_state_check
 
 __all__ = [
     "ConfigError",
@@ -108,6 +108,9 @@ MAX_IDENTITY_H = 64
 #: the most step-function pairs, and the most sample times, a config may list (the sweep's cost grows linearly in each)
 MAX_PAIRS = 64
 MAX_SAMPLE_TIMES = 64
+
+#: the most walk evaluations a sweep may ask for: pairs x sample times x probes x step lengths
+MAX_SWEEP_EVALUATIONS = 1024
 
 
 class ConfigError(ValueError):
@@ -406,6 +409,12 @@ class ExperimentConfig:
         probes = tuple(range(b.dim)) if cfg["probes"] == "all" else cfg["probes"]
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"invalid 'probes': probe indices must lie in 0..{b.dim - 1}")
+        factors = (len(pairs), len(times), len(probes), len(h_values))
+        if math.prod(factors) > MAX_SWEEP_EVALUATIONS:
+            raise ConfigError(
+                "invalid 'sweep': {} pairs x {} sample times x {} probes x {} step lengths = {} walk "
+                "evaluations, more than {}".format(*factors, math.prod(factors), MAX_SWEEP_EVALUATIONS)
+            )
         depth = cfg["compatibility_depth"]
         try:  # the lifted iterate, the largest array the compatibility check builds
             _check_entries(b.dim**2, noise_dim + 1, depth)
@@ -572,7 +581,7 @@ def _probe_points(config: ExperimentConfig):
 
 def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, complex], h: float) -> dict:
     psi = build_walk(config.triple, config.chi, h)
-    gap = amplified_norm(gap_map(phi, psi, config.chi, h))
+    gap = amplified_norm(gap_map(phi, config.triple, config.chi, h))
     errors = {
         label: abs(walk_matrix_element(psi, probe, f, g, t, h) - limits[label])
         for label, f, g, t, probe in _probe_points(config)

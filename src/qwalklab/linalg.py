@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "as_complex_array",
     "readonly",
+    "compress",
     "dag",
     "expm",
     "opnorm",
@@ -45,6 +46,11 @@ def readonly(x) -> np.ndarray:
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, acting on the last two axes of a stack."""
     return np.conjugate(np.swapaxes(m, -1, -2))
+
+
+def compress(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v* X v for each matrix X of a stack: the compression by v, one batched matmul."""
+    return dag(v) @ stack @ v
 
 
 #: numerator coefficients b_0..b_13 of the [13/13] Pade approximant to exp

@@ -16,7 +16,9 @@ for a unital *-representation pi, nu = pi - chi(.)I and
 gamma = <xi, nu(.) xi>.  That block form is V* nu(.) V with V = [|xi>, I];
 replacing I by an isometry D gives the completely positive generators
 V* nu(.) V, V = [|xi>, D], of the compressed walks.  A triple without D is
-the case D = I, and one builder serves both.
+the case D = I, and one builder serves both.  It is one linalg.compress
+of nu by V, the compression by which walk also builds the walk step and
+the generator gap.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bialgebra import CounitalBialgebra
-from .linalg import as_complex_array, dag, opnorm, opnorms, readonly
+from .linalg import as_complex_array, compress, dag, opnorm, opnorms, readonly
 
 __all__ = [
     "HatSpace",
@@ -40,8 +42,6 @@ __all__ = [
     "default_decomposition_vector",
     "verify_cp_decomposition",
     "cp_block_matrix",
-    "scaling_matrix",
-    "scaling_conjugation",
 ]
 
 
@@ -130,13 +130,6 @@ class OperatorMap:
         values = as_complex_array(values)
         return cls(source, values.reshape(-1, 1, 1))
 
-    @classmethod
-    def scalar_identity(cls, source: CounitalBialgebra, chi, dim: int) -> "OperatorMap":
-        """b -> chi(b) I, the trivially lifted character."""
-        chi = as_complex_array(chi)
-        eye = np.eye(dim, dtype=complex)
-        return cls(source, chi[:, None, None] * eye[None, :, :])
-
 
 @dataclass(frozen=True, eq=False)
 class ImplementingTriple:
@@ -218,7 +211,7 @@ def structure_map_from_pair(triple: ImplementingTriple, chi) -> OperatorMap:
     to the completely positive generator of the corresponding walk.
     """
     v = np.concatenate([triple.xi[:, None], triple.isometry], axis=1)
-    return OperatorMap(triple.source, np.einsum("ac,icd,db->iab", dag(v), triple.nu_mats(chi), v))
+    return OperatorMap(triple.source, compress(triple.nu_mats(chi), v))
 
 
 def verify_structure_relation(phi: OperatorMap, chi) -> float:
@@ -367,33 +360,4 @@ def _hermitized(m: np.ndarray) -> np.ndarray:
     if defect > 1e-8 * max(1.0, opnorm(m)):
         raise ValueError(f"expected a Hermitian matrix (defect {defect:.3e})")
     return herm
-
-
-def scaling_matrix(h: float, dim: int) -> np.ndarray:
-    """D_h = diag(h^{-1/2}, 1, ..., 1) on a hat space of the given dimension."""
-    if h <= 0:
-        raise ValueError("step length h must be positive")
-    d = np.eye(dim, dtype=complex)
-    d[0, 0] = h ** -0.5
-    return d
-
-
-def scaling_conjugation(x: OperatorMap, h: float) -> OperatorMap:
-    """X -> D_h X D_h, elementwise over an OperatorMap.
-
-    Multiplicative in h: conjugating by h1 then h2 equals conjugating by
-    h1 h2.
-    """
-    d = scaling_matrix(h, x.dim)
-    return OperatorMap(x.source, np.einsum("ab,ibc,cd->iad", d, x.mats, d))
-
-
-def gap_map(phi: OperatorMap, psi: OperatorMap, chi, h: float) -> OperatorMap:
-    """theta_h = phi - D_h (psi - chi(.)I) D_h for a walk step psi of length h.
-
-    The finite-h generator mismatch whose O(h) decay is the quantitative
-    content of the walk approximation.
-    """
-    chi_map = OperatorMap.scalar_identity(psi.source, chi, psi.dim)
-    return phi - scaling_conjugation(psi - chi_map, h)
 

@@ -3,18 +3,24 @@
 A step length h and a reference vector xi with h ||xi||^2 <= 1 determine
 the rotation-like unitary
 
-    U = [[c_h, -s_h*], [s_h, c_h Q + (I - Q)]]
+    U = [[c_h, -s_h*], [s_h, U_22]],    U_22 = c_h Q + (I - Q),
 
 on the hat space of the representation space, where c_h = sqrt(1 -
 h||xi||^2), s_h = h^{1/2} |xi>, and Q projects onto the line through xi.
-Compressing chi (+) pi by V = U diag(1, D) gives the completely positive,
-preunital walk step V* (chi (+) pi) V; the homomorphic walk step
-U* (chi (+) pi) U is the case D = I, which is what a triple without D
-means.  The deviation of the inverse-scaled step from the structure-map
-generator is given exactly by
+Compressing chi (+) pi by the isometry V = U diag(1, D) gives the
+completely positive, preunital walk step psi_h = V* (chi (+) pi) V; the
+homomorphic walk step U* (chi (+) pi) U is the case D = I, which is what
+a triple without D means.  Because V*V = I,
 
-    phi - D_h (psi^(h) - chi(.)I) D_h
-        = h/(1+c_h) phi_1 - h^2/(1+c_h)^2 phi_2,
+    psi_h - chi(.)I = V* diag(0, nu(.)) V,
+
+so the inverse-scaled step D_h (psi_h - chi(.)I) D_h, with D_h =
+diag(h^{-1/2}, 1, ..., 1), is the compression W* nu(.) W by W = [xi,
+U_22 D], the lower rows of V with the first column scaled by h^{-1/2}.
+No identity is added and subtracted again.  The deviation of that step
+from the structure-map generator is given exactly by
+
+    phi - W* nu(.) W = h/(1+c_h) phi_1 - h^2/(1+c_h)^2 phi_2,
 
 with explicit first- and second-order terms phi_1, phi_2.
 """
@@ -24,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_complex_array, readonly
-from .structure_maps import ImplementingTriple, OperatorMap, gap_map, structure_map_from_pair
+from .linalg import as_complex_array, compress, opnorms, readonly
+from .structure_maps import ImplementingTriple, OperatorMap, structure_map_from_pair
 
 __all__ = [
     "StepSizeError",
@@ -33,6 +39,7 @@ __all__ = [
     "build_unitary",
     "build_walk",
     "error_terms",
+    "gap_map",
     "verify_error_identity",
     "vector_state_check",
 ]
@@ -44,19 +51,13 @@ class StepSizeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class WalkStep:
-    """The scalar/vector ingredients and the assembled unitary of one step."""
+    """The cosine c_h and the assembled unitary of one step."""
 
-    h: float
-    xi: np.ndarray
     c_h: float
-    s_h: np.ndarray
-    d_h: float
-    q: np.ndarray
     unitary: np.ndarray
 
     def __post_init__(self):
-        for name in ("xi", "s_h", "q", "unitary"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
+        object.__setattr__(self, "unitary", readonly(self.unitary))
 
 
 def build_unitary(xi, h: float) -> WalkStep:
@@ -79,7 +80,7 @@ def build_unitary(xi, h: float) -> WalkStep:
     u[0, 1:] = -np.conjugate(s_h)
     u[1:, 0] = s_h
     u[1:, 1:] = c_h * q + (np.eye(p) - q)
-    return WalkStep(h=float(h), xi=xi, c_h=c_h, s_h=s_h, d_h=c_h - 1.0, q=q, unitary=u)
+    return WalkStep(c_h=c_h, unitary=u)
 
 
 def _char_oplus_pi(triple: ImplementingTriple, chi) -> np.ndarray:
@@ -101,6 +102,11 @@ def _embedding(triple: ImplementingTriple) -> np.ndarray:
     return embed
 
 
+def _isometry(triple: ImplementingTriple, h: float) -> np.ndarray:
+    """V = U diag(1, D), the isometry a walk step of length h compresses by."""
+    return build_unitary(triple.xi, h).unitary @ _embedding(triple)
+
+
 def build_walk(triple: ImplementingTriple, chi, h: float) -> OperatorMap:
     """Walk step b -> V* (chi(b) (+) pi(b)) V with V = U diag(1, D).
 
@@ -108,10 +114,20 @@ def build_walk(triple: ImplementingTriple, chi, h: float) -> OperatorMap:
     U* (chi (+) pi) U; a proper isometry makes it completely positive
     and preunital on the (d+1)-hat space.
     """
-    v = build_unitary(triple.xi, h).unitary @ _embedding(triple)
-    return OperatorMap(
-        triple.source, np.einsum("ca,icd,db->iab", np.conjugate(v), _char_oplus_pi(triple, chi), v)
-    )
+    return OperatorMap(triple.source, compress(_char_oplus_pi(triple, chi), _isometry(triple, h)))
+
+
+def gap_map(phi: OperatorMap, triple: ImplementingTriple, chi, h: float) -> OperatorMap:
+    """theta_h = phi - W* nu(.) W with W = [xi, U_22 D], for the walk step of length h.
+
+    phi is the generator structure_map_from_pair(triple, chi), which a
+    caller sweeping many h builds once.  The finite-h generator mismatch
+    whose O(h) decay is the quantitative content of the walk
+    approximation.
+    """
+    v = _isometry(triple, h)
+    w = np.concatenate([triple.xi[:, None], v[1:, 1:]], axis=1)  # [h^{-1/2} s_h, U_22 D]
+    return phi - OperatorMap(triple.source, compress(triple.nu_mats(chi), w))
 
 
 def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorMap]:
@@ -134,24 +150,27 @@ def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorM
     phi1 = np.zeros((n, p + 1, p + 1), dtype=complex)
     phi1[:, 1:, 0] = gamma[:, None] * xi[None, :]
     phi1[:, 0, 1:] = gamma[:, None] * np.conjugate(xi)[None, :]
-    phi1[:, 1:, 1:] = np.einsum("ab,ibc->iac", x, nu) + np.einsum("iab,bc->iac", nu, x)
+    phi1[:, 1:, 1:] = x @ nu + nu @ x
     phi2 = np.zeros((n, p + 1, p + 1), dtype=complex)
     phi2[:, 1:, 1:] = gamma[:, None, None] * x[None, :, :]
     embed = _embedding(triple)
-    compress = lambda m: np.einsum("ca,icd,db->iab", np.conjugate(embed), m, embed)
-    return (
-        OperatorMap(triple.source, compress(phi1)),
-        OperatorMap(triple.source, compress(phi2)),
-    )
+    return OperatorMap(triple.source, compress(phi1, embed)), OperatorMap(triple.source, compress(phi2, embed))
 
 
 def verify_error_identity(triple: ImplementingTriple, chi, h: float) -> float:
-    """Residual of the exact expansion at step length h (max operator norm)."""
-    lhs = gap_map(structure_map_from_pair(triple, chi), build_walk(triple, chi, h), chi, h)
+    """Residual of the exact expansion at step length h (max operator norm).
+
+    The larger of two residuals: gap_map against the block form of
+    error_terms, and the walk step build_walk returns against
+    chi(.)I + V* diag(0, nu(.)) V.  The second is unscaled and ties the
+    gap, which is built from V alone, to the walk a sweep runs.
+    """
+    r = h / (1.0 + build_unitary(triple.xi, h).c_h)
     phi1, phi2 = error_terms(triple, chi)
-    c_h = build_unitary(triple.xi, h).c_h
-    rhs = (h / (1.0 + c_h)) * phi1 - (h / (1.0 + c_h)) ** 2 * phi2
-    return lhs.distance(rhs)
+    expansion = gap_map(structure_map_from_pair(triple, chi), triple, chi, h).distance(r * phi1 - r**2 * phi2)
+    chi_part = build_walk(triple, chi, h).mats - compress(triple.nu_mats(chi), _isometry(triple, h)[1:])
+    link = np.max(opnorms(chi_part - as_complex_array(chi)[:, None, None] * np.eye(chi_part.shape[1])))
+    return max(expansion, float(link))
 
 
 def vector_state_check(triple: ImplementingTriple, chi, h: float) -> tuple[float, float]:

@@ -30,7 +30,8 @@ from qwalklab import (
     write_demo,
 )
 from qwalklab.convolution import ConvolutionSemigroup
-from qwalklab.structure_maps import cp_block_matrix, gap_map
+from qwalklab.structure_maps import cp_block_matrix
+from qwalklab.walk import gap_map
 
 from .test_structure_maps import triples_for
 
@@ -114,8 +115,7 @@ def test_criterion_4_generator_convergence(
         n1, n2 = amplified_norm(phi1), amplified_norm(phi2)
         gaps = []
         for h in DYADIC_H:
-            psi = build_walk(triple, b.counit, h)
-            gap = amplified_norm(gap_map(phi, psi, b.counit, h))
+            gap = amplified_norm(gap_map(phi, triple, b.counit, h))
             c_h = build_unitary(triple.xi, h).c_h
             r = h / (1.0 + c_h)
             bound = r * n1 + r**2 * n2

@@ -6,14 +6,13 @@ from qwalklab import (
     OperatorMap,
     amplified_norm,
     build_group_algebra,
-    build_walk,
     run_sweep,
     structure_map_from_pair,
     symmetric_group,
 )
 from qwalklab.cbnorm import AmplifiedMap
 from qwalklab.groups import symmetric_sign_character
-from qwalklab.structure_maps import gap_map
+from qwalklab.walk import gap_map
 
 from .oracles import apply_amplified, dual_basis, hs_expectation, sampled_lower_bound, serial_amplified_norm
 from .test_fock import count_calls
@@ -87,8 +86,9 @@ def test_frame_is_reused_only_under_the_same_key(monkeypatch, group_s3, c_s3, gr
 
 
 def test_ascent_rounds_of_a_demo_sweep(monkeypatch, s3_demo_config):
-    # one AmplifiedMap.apply per ascent round, summed over the 6 rows; the
-    # contraction's rounding must not move the round at which a start stalls
+    # one AmplifiedMap.apply per ascent round, summed over the 6 rows (6
+    # each); the contraction's rounding must not move the round at which a
+    # start stalls
     calls = 0
     apply = AmplifiedMap.apply
 
@@ -99,7 +99,7 @@ def test_ascent_rounds_of_a_demo_sweep(monkeypatch, s3_demo_config):
 
     monkeypatch.setattr(AmplifiedMap, "apply", counted)
     run_sweep(s3_demo_config)
-    assert calls == 38
+    assert calls == 36
 
 
 def test_unital_homomorphism_has_norm_one(all_bialgebras):
@@ -164,7 +164,7 @@ def test_batched_ascent_on_blocks_matches_serial_oracle(request, triple_name):
     phi = structure_map_from_pair(triple, chi)
     for k in range(2, 7):
         h = 2.0**-k
-        theta = gap_map(phi, build_walk(triple, chi, h), chi, h)
+        theta = gap_map(phi, triple, chi, h)
         expected = serial_amplified_norm(theta.mats, triple.source.rep)
         assert abs(amplified_norm(theta) - expected) <= 1e-12 * expected
 

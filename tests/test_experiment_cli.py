@@ -1,6 +1,7 @@
 import copy
 import gc
 import logging
+import math
 import os
 import re
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from qwalklab import ConfigError, ExperimentConfig, run_sweep, run_verify, write_demo
 from qwalklab.bialgebra import bialgebra_to_payload, build_group_algebra
 from qwalklab.cli import main
-from qwalklab.experiment import DEMO_NAMES, FIELDS, _demo_payload, resolve_bialgebra
+from qwalklab.experiment import DEMO_NAMES, FIELDS, MAX_SWEEP_EVALUATIONS, _demo_payload, resolve_bialgebra
 from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
 
@@ -374,6 +375,8 @@ MALFORMED_FIELDS = [
     ("step_function_pairs", ("step_function_pairs",), _demo_payload("group-z2")["step_function_pairs"][:1] * 65),
     ("probes", ("probes",), [0, 0]),
     ("probes", ("probes",), [1, 0, 1]),
+    # 2 pairs x 43 times x 2 probes x 6 step lengths = 1032 walk evaluations; 42 times make 1008
+    ("sweep", ("sample_times",), [k / 64 for k in range(22, 65)]),
 ]
 
 
@@ -393,6 +396,34 @@ def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, fiel
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert repr(field) in err
+
+
+def _sweep_of_shape(pairs: int, times: int, probes: int, count: int) -> dict:
+    """The group-z2 demo config with its pairs repeated, and the given numbers of sample times, probes and steps."""
+    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload["step_function_pairs"] = (payload["step_function_pairs"] * pairs)[:pairs]
+    payload["sample_times"] = [1.0 - k / 64 for k in range(times)]
+    payload["probes"] = list(range(probes))
+    payload["sweep"]["count"] = count
+    return payload
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 2, 1), (8, 2, 2, 32), (32, 1, 1, 32)])
+def test_sweep_at_the_work_bound_is_accepted(tmp_path, shape):
+    assert math.prod(shape) == MAX_SWEEP_EVALUATIONS
+    config = ExperimentConfig.from_payload(_sweep_of_shape(*shape), tmp_path)
+    assert math.prod((len(config.pairs), len(config.sample_times), len(config.probes), len(config.h_values))) == math.prod(shape)
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_sweep_one_past_the_work_bound_exits_two_naming_the_factors(tmp_path, capsys, command):
+    config = write_config(tmp_path, _sweep_of_shape(5, 5, 1, 41))  # 1025 = 5 x 5 x 1 x 41
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: invalid 'sweep': 5 pairs x 5 sample times x 1 probes x 41 step lengths = 1025 walk "
+        "evaluations, more than 1024\n"
+    )
 
 
 #: (section, key, value) for every field FIELDS lists, each with a value no rule admits

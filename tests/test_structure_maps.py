@@ -13,12 +13,7 @@ from qwalklab import (
     verify_cp_decomposition,
     verify_structure_relation,
 )
-from qwalklab.structure_maps import (
-    cp_block_matrix,
-    default_decomposition_vector,
-    scaling_conjugation,
-    scaling_matrix,
-)
+from qwalklab.structure_maps import cp_block_matrix, default_decomposition_vector
 
 from .oracles import cp_generator_blocks, structure_map_blocks
 
@@ -185,20 +180,6 @@ def test_cp_block_matrix_positive_for_representation(group_s3):
     block = cp_block_matrix(pi_map)
     eigs = np.linalg.eigvalsh((block + block.conj().T) / 2)
     assert eigs[0] > -1e-12
-
-
-def test_scaling_matrix_values():
-    d = scaling_matrix(0.04, 3)
-    assert np.allclose(np.diag(d), [5.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        scaling_matrix(0.0, 3)
-
-
-def test_scaling_conjugation_multiplicative(c_z2, c_z2_eval_triple):
-    phi = structure_map_from_pair(c_z2_eval_triple, c_z2.counit)
-    twice = scaling_conjugation(scaling_conjugation(phi, 0.5), 0.2)
-    once = scaling_conjugation(phi, 0.1)
-    assert twice.distance(once) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)

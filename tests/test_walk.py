@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalklab.walk as walk
 from qwalklab import (
     ImplementingTriple,
+    OperatorMap,
     StepSizeError,
     build_unitary,
     build_walk,
@@ -12,6 +14,9 @@ from qwalklab import (
     verify_error_identity,
     vector_state_check,
 )
+from qwalklab.experiment import DEFAULT_TOLERANCES
+from qwalklab.linalg import compress, dag, opnorms
+from qwalklab.walk import gap_map
 
 from .oracles import cp_generator_blocks, structure_map_blocks, walk_unitary
 
@@ -23,8 +28,8 @@ def test_z2_step_arithmetic():
     # h ||xi||^2 = 0.36: the rotation has cosine 0.8 and sine 0.6
     step = build_unitary([1.0], 0.36)
     assert abs(step.c_h - 0.8) < 1e-15
-    assert abs(step.s_h[0] - 0.6) < 1e-15
-    assert abs(step.d_h + 0.2) < 1e-15
+    assert abs(step.unitary[1, 0] - 0.6) < 1e-15
+    assert abs(step.c_h - 1.0 + 0.2) < 1e-15
     assert np.allclose(step.unitary, [[0.8, -0.6], [0.6, 0.8]], atol=1e-15)
 
 
@@ -182,6 +187,42 @@ def test_error_identity_non_counit_character(group_z2):
     )
     for h in admissible_hs(triple.xi):
         assert verify_error_identity(triple, chi, h) < IDENTITY_TOL
+
+
+CONFTEST_TRIPLES = ["z2_sign_triple", "c_z2_eval_triple", "s3_regular_triple", "s3_cp_triple"]
+
+
+@pytest.mark.parametrize("triple_name", CONFTEST_TRIPLES)
+def test_error_identity_holds_down_to_tiny_steps(request, triple_name):
+    # the gap is one compression of nu with no 1/h, so the residual stays at
+    # rounding level at every step length the parser accepts
+    triple = request.getfixturevalue(triple_name)
+    norm_sq = float(np.real(np.vdot(triple.xi, triple.xi)))
+    for chi in triple.source.characters:
+        phi = structure_map_from_pair(triple, chi)
+        for k in range(41):
+            h = 2.0**-k
+            if h * norm_sq > 1.0:
+                continue
+            gap = float(np.max(opnorms(gap_map(phi, triple, chi, h).mats)))
+            assert verify_error_identity(triple, chi, h) <= 1e-11 * max(1.0, gap), (k, chi)
+
+
+@pytest.mark.parametrize("triple_name", CONFTEST_TRIPLES)
+def test_error_identity_reads_the_walk_step(request, monkeypatch, triple_name):
+    # a walk compressed by U* diag(1, D) in place of U diag(1, D) is still a
+    # unital *-homomorphism with the same vector state at e_0; the gap map,
+    # built from V alone, cannot see it, so only the unscaled link between
+    # build_walk and V* diag(0, nu) V does
+    def adjoint_step(triple, chi, h):
+        v = dag(build_unitary(triple.xi, h).unitary) @ walk._embedding(triple)
+        return OperatorMap(triple.source, compress(walk._char_oplus_pi(triple, chi), v))
+
+    triple = request.getfixturevalue(triple_name)
+    chi = triple.source.counit
+    assert verify_error_identity(triple, chi, 0.1) <= DEFAULT_TOLERANCES["error_identity"]
+    monkeypatch.setattr(walk, "build_walk", adjoint_step)
+    assert verify_error_identity(triple, chi, 0.1) > DEFAULT_TOLERANCES["error_identity"]
 
 
 def test_vector_state_realisation(c_z2, c_z2_eval_triple):
