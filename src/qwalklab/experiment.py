@@ -2,9 +2,10 @@
 
 A config names a bialgebra (builtin constructor or file), a character, an
 implementing triple, step-function pairs, sample times, and a geometric
-h sweep.  run_verify executes the identity suite at fixed step lengths;
-run_sweep drives walks down the h ladder and tabulates generator gaps
-and matrix-element errors against the cocycle limit.
+h sweep.  run_verify executes the identity suite, the finite-h identities
+at every step length of the h ladder; run_sweep drives walks down that
+ladder and tabulates generator gaps and matrix-element errors against the
+cocycle limit.
 """
 from __future__ import annotations
 
@@ -102,11 +103,9 @@ DEFAULT_TOLERANCES = {
 #: the longest h ladder a sweep may ask for
 MAX_SWEEP_COUNT = 64
 
-#: the most step lengths identity_h may list (each builds a walk and checks an identity)
-MAX_IDENTITY_H = 64
-
-#: the most step-function pairs, and the most sample times, a config may list (the sweep's cost grows linearly in each)
+#: the most step-function pairs, segments per step function, and sample times a config may list (the sweep's cost grows linearly in each)
 MAX_PAIRS = 64
+MAX_SEGMENTS = 64
 MAX_SAMPLE_TIMES = 64
 
 #: the most walk evaluations a sweep may ask for: pairs x sample times x probes x step lengths
@@ -138,18 +137,6 @@ def _list(value, most: int | None = None) -> list:
     return value
 
 
-def _numbers(value, most: int | None = None) -> tuple[float, ...]:
-    return tuple(finite_number(v) for v in _list(value, most))
-
-
-def _step_lengths(value) -> tuple[float, ...]:
-    """Step lengths in (0, 1]: scaled_identity_h brings h ||xi||^2 under 1 only for h <= 1."""
-    steps = _numbers(value, MAX_IDENTITY_H)
-    if not all(0 < h <= 1 for h in steps):
-        raise ValueError(f"step lengths must lie in (0, 1], got {list(steps)}")
-    return steps
-
-
 def _time_label(t: float) -> str:
     """A sample time's part of an error-column label; it keeps 6 significant digits."""
     return f"t{t:g}"
@@ -157,7 +144,7 @@ def _time_label(t: float) -> str:
 
 def _sample_times(value) -> tuple[float, ...]:
     """Sample times whose error-column labels all differ: equal labels would share one column."""
-    times = _numbers(value, MAX_SAMPLE_TIMES)
+    times = tuple(finite_number(v) for v in _list(value, MAX_SAMPLE_TIMES))
     labels = [_time_label(t) for t in times]
     for i, label in enumerate(labels):
         if label in labels[:i]:
@@ -216,7 +203,7 @@ def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
     pairs = []
     for k, pair in enumerate(_list(value, MAX_PAIRS)):
         try:
-            pairs.append((step_function_from_payload(pair["f"]), step_function_from_payload(pair["g"])))
+            pairs.append(tuple(step_function_from_payload(_list(pair[fn], MAX_SEGMENTS)) for fn in "fg"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"pair {k} is malformed: {exc}") from exc
     return tuple(pairs)
@@ -259,14 +246,12 @@ FIELDS = {
         "bialgebra": (_object, _REQUIRED),
         "character": (_character, "counit"),
         "triple": (_object, _REQUIRED),
-        "noise_dim": (_natural, None),
         "sweep": (_object, {}),
         "step_function_pairs": (_pairs, _REQUIRED),
         "time_horizon": (_positive, 1.0),
         "sample_times": (_sample_times, None),  # absent: the time horizon alone
         "probes": (_probes, "all"),
         "compatibility_depth": (_natural, 3),
-        "identity_h": (_step_lengths, (0.5, 0.1, 0.01)),
         "final_error_bound": (_positive, 1e-2),
     },
     "bialgebra": {"builtin": (_builtin, None), "group": (_group, None), "file": (_string, None)},
@@ -343,7 +328,6 @@ class ExperimentConfig:
     pairs: tuple[tuple[StepFunction, StepFunction], ...]
     sample_times: tuple[float, ...]
     h_values: tuple[float, ...]
-    identity_h: tuple[float, ...]
     probes: tuple[int, ...]
     compatibility_depth: int
     tolerances: dict[str, float]
@@ -373,8 +357,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid 'triple': {exc}") from exc
         noise_dim = triple.noise_dim
-        if cfg["noise_dim"] not in (None, noise_dim):
-            raise ConfigError(f"invalid 'noise_dim': declared {cfg['noise_dim']} != triple noise dimension {noise_dim}")
         sweep = cfg["sweep"]
         h_values = tuple(sweep["h0"] * sweep["ratio"] ** k for k in range(sweep["count"]))
         h0, xi_norm_sq = h_values[0], float(np.real(np.vdot(triple.xi, triple.xi)))
@@ -427,7 +409,6 @@ class ExperimentConfig:
             pairs=pairs,
             sample_times=times,
             h_values=h_values,
-            identity_h=cfg["identity_h"],
             probes=probes,
             compatibility_depth=depth,
             tolerances=tol,
@@ -441,14 +422,6 @@ class ExperimentConfig:
         """The config in a JSON file; its label defaults to the file name without '.json'."""
         path = Path(path)
         return cls.from_payload({"label": path.stem, **read_json(path)}, path.parent)
-
-    def scaled_identity_h(self) -> tuple[float, ...]:
-        """identity_h values scaled so h ||xi||^2 <= 1 holds."""
-        norm_sq = float(np.real(np.vdot(self.triple.xi, self.triple.xi)))
-        out = []
-        for h in self.identity_h:
-            out.append(h if h * norm_sq <= 1.0 else h / norm_sq)
-        return tuple(out)
 
     def generator(self) -> OperatorMap:
         return structure_map_from_pair(self.triple, self.chi)
@@ -497,21 +470,14 @@ def run_verify(config: ExperimentConfig) -> RunResult:
 
     # without D the walk is a *-homomorphism; with an isometry it is CP
     homomorphic = triple.D is None
-    unitarity = 0.0
-    identity_res = 0.0
-    vector_res = 0.0
-    for h in config.scaled_identity_h():
-        step = build_unitary(triple.xi, h)
-        u = step.unitary
+    unitarity = identity_res = vector_res = 0.0
+    for h in config.h_values:  # from_payload checked h ||xi||^2 <= 1 and the cell count for each
+        u = build_unitary(triple.xi, h).unitary
         eye = np.eye(u.shape[0])
-        unitarity = max(
-            unitarity,
-            opnorm(u.conj().T @ u - eye),
-            opnorm(u @ u.conj().T - eye),
-        )
+        unitarity = max(unitarity, opnorm(u.conj().T @ u - eye), opnorm(u @ u.conj().T - eye))
         identity_res = max(identity_res, verify_error_identity(triple, chi, h))
         if homomorphic:
-            vector_res = max(vector_res, max(vector_state_check(triple, chi, h)))
+            vector_res = max(vector_res, *vector_state_check(triple, chi, h))
     _check(report, "unitarity", unitarity, tol["unitarity"])
     _check(report, "error_identity", identity_res, tol["error_identity"])
     if homomorphic:
@@ -703,7 +669,6 @@ _DEMO_COMMON = {
     "time_horizon": 1.0,
     "sample_times": [1.0],
     "sweep": {"h0": 0.25, "ratio": 0.5, "count": 6},
-    "identity_h": [0.5, 0.1, 0.01],
     "probes": "all",
     "compatibility_depth": 3,
     "step_function_pairs": _DEMO_PAIRS,
@@ -737,7 +702,6 @@ def _demo_payload(name: str) -> dict:
         "bialgebra": dict(_DEMO_BIALGEBRAS[name]),
         "character": "counit",
         "triple": _s3_cp_triple_section() if name == "group-s3" else {"pi": "character:1", "xi": [[1.5, 0.0]]},
-        "noise_dim": 1,
         "final_error_bound": 0.05,
         **_DEMO_COMMON,
     }

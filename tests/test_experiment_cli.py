@@ -14,7 +14,15 @@ import pytest
 from qwalklab import ConfigError, ExperimentConfig, run_sweep, run_verify, write_demo
 from qwalklab.bialgebra import bialgebra_to_payload, build_group_algebra
 from qwalklab.cli import main
-from qwalklab.experiment import DEMO_NAMES, FIELDS, MAX_SWEEP_EVALUATIONS, _demo_payload, resolve_bialgebra
+from qwalklab.experiment import (
+    DEMO_NAMES,
+    FIELDS,
+    MAX_SEGMENTS,
+    MAX_SWEEP_EVALUATIONS,
+    _demo_payload,
+    resolve_bialgebra,
+)
+from qwalklab.fock import step_function_from_payload
 from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
 
@@ -31,7 +39,6 @@ def base_payload(**over):
         "time_horizon": 1.0,
         "sample_times": [1.0],
         "sweep": {"h0": 0.25, "ratio": 0.5, "count": 4},
-        "identity_h": [0.4, 0.1],
         "probes": "all",
         "compatibility_depth": 2,
         "final_error_bound": 0.1,
@@ -70,11 +77,12 @@ def test_config_label_falls_back_to_stem(tmp_path):
         ({"sweep": {"h0": 0.25, "ratio": 1.5, "count": 4}}, "ratio"),
         ({"sweep": {"h0": -1.0, "ratio": 0.5, "count": 4}}, "h0"),
         ({"triple": {"pi": "character:1", "xi": [[2.5, 0.0]]}}, r"h \* \|\|xi\|\|\^2"),
-        ({"noise_dim": 3}, "noise_dim"),
         ({"sample_times": [2.0]}, "sample times"),
         ({"probes": [0, 7]}, "probe indices"),
         ({"tolerances": {"nope": 1.0}}, "unknown key 'nope' in 'tolerances'"),
         ({"dimension_cap": 64}, "unknown key 'dimension_cap'"),
+        ({"noise_dim": 1}, "unknown key 'noise_dim'"),
+        ({"identity_h": [0.5, 0.1, 0.01]}, "unknown key 'identity_h'"),
         ({"character": 9}, "character index"),
         ({"time_horizon": 0, "sample_times": [0.0]}, "time_horizon"),
         ({"triple": {"pi": "character:1"}}, "missing 'xi'"),
@@ -126,6 +134,39 @@ def test_verify_cp_config_swaps_checks(tmp_path):
     assert "walk_preunital" in checks
     assert "vector_state" not in checks
     assert "walk_homomorphism" not in checks
+
+
+@pytest.mark.parametrize("count", [1, 6])  # a one-step ladder, as in the verify-large benchmark, and the default
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_verify_checks_the_identities_at_every_step_length(tmp_path, monkeypatch, name, count):
+    import qwalklab.experiment as experiment
+
+    checked = []
+    real = experiment.verify_error_identity
+
+    def counted(triple, chi, h):
+        checked.append(h)
+        return real(triple, chi, h)
+
+    monkeypatch.setattr(experiment, "verify_error_identity", counted)
+    payload = read_json(write_demo(name, tmp_path))
+    payload["sweep"]["count"] = count
+    config = ExperimentConfig.from_payload(payload, tmp_path)
+    assert run_verify(config).passed
+    assert checked == list(config.h_values)
+    assert len(checked) == count
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_finite_h_identities_hold_down_a_forty_step_ladder(tmp_path, name):
+    # h from 1/4 down to 2^-41 = 4.5e-13
+    payload = read_json(write_demo(name, tmp_path))
+    payload["sweep"] = {"h0": 0.25, "ratio": 0.5, "count": 40}
+    config = ExperimentConfig.from_payload(payload, tmp_path)
+    checks = run_verify(config).report["checks"]
+    assert ("vector_state" in checks) == (config.triple.D is None)
+    for key in ("unitarity", "error_identity", "vector_state"):
+        assert key not in checks or checks[key]["passed"], checks[key]
 
 
 def test_sweep_evaluates_each_functional_once_per_pair_time_and_step(s3_demo_config, monkeypatch):
@@ -304,11 +345,9 @@ MALFORMED_FIELDS = [
     ("time_horizon", ("time_horizon",), "x"),
     ("sample_times", ("sample_times",), "x"),
     ("compatibility_depth", ("compatibility_depth",), "x"),
-    ("noise_dim", ("noise_dim",), "x"),
     ("final_error_bound", ("final_error_bound",), "x"),
     ("tolerances", ("tolerances",), [1]),
     ("xi", ("triple", "xi"), [float("nan")]),
-    ("identity_h", ("identity_h",), [-0.1]),
     ("compatibility_depth", ("compatibility_depth",), -1),
     ("step_function_pairs", ("step_function_pairs", 0, "f"), [[-0.5, [1.0, 0.0]], [1.5, [0.6, -0.3]]]),
     ("sweep", ("sweep",), {"h0": 1e-320, "count": 1}),
@@ -325,8 +364,6 @@ MALFORMED_FIELDS = [
     ("sweep", ("sweep",), {"h0": 0.25, "ratio": 0.5, "count": 2.7}),
     ("probes", ("probes",), [1.9]),
     ("compatibility_depth", ("compatibility_depth",), 2.5),
-    ("noise_dim", ("noise_dim",), 1.5),
-    ("identity_h", ("identity_h",), [0.1] * 100_000),
     ("compatibility_depth", ("compatibility_depth",), 12),
     ("character", ("character",), True),
     ("character", ("character",), False),
@@ -347,10 +384,8 @@ MALFORMED_FIELDS = [
     ("time_horizon", ("time_horizon",), True),
     ("sample_times", ("sample_times",), [True]),
     ("final_error_bound", ("final_error_bound",), "0.05"),
-    ("identity_h", ("identity_h",), ["0.5"]),
     ("tolerances", ("tolerances",), {"axioms": True}),
     ("xi", ("triple", "xi"), [[True, False]]),
-    ("identity_h", ("identity_h",), [1.5]),
     ("tolerances", ("tolerances",), {"axioms": -1e-9}),
     ("final_error_bound", ("final_error_bound",), 0.0),
     ("final_error_bound", ("final_error_bound",), -0.05),
@@ -360,7 +395,6 @@ MALFORMED_FIELDS = [
     ("group", ("bialgebra", "group"), True),
     ("group", ("bialgebra", "group"), None),
     ("builtin", ("bialgebra", "builtin"), None),
-    ("identity_h", ("identity_h",), []),
     ("sample_times", ("sample_times",), 0),
     ("sample_times", ("sample_times",), []),
     ("sweep", ("sweep",), 0),
@@ -369,6 +403,8 @@ MALFORMED_FIELDS = [
     ("time_horizon", ("time_horizon",), -1),
     ("time_horizon", ("time_horizon",), 0),
     ("dimension_cap", ("dimension_cap",), 4096),
+    ("noise_dim", ("noise_dim",), 1),
+    ("identity_h", ("identity_h",), [0.5, 0.1, 0.01]),
     ("sample_times", ("sample_times",), [0.5, 0.5000001]),
     ("sample_times", ("sample_times",), [1.0, 1.0]),
     ("sample_times", ("sample_times",), [k / 65 for k in range(1, 66)]),
@@ -424,6 +460,42 @@ def test_sweep_one_past_the_work_bound_exits_two_naming_the_factors(tmp_path, ca
         "error: invalid 'sweep': 5 pairs x 5 sample times x 1 probes x 41 step lengths = 1025 walk "
         "evaluations, more than 1024\n"
     )
+
+
+def _with_segments(f: int, g: int) -> dict:
+    """The group-z2 demo config with one pair whose f and g have the given numbers of equal segments."""
+    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload["step_function_pairs"] = [
+        {fn: [[1 / n, [1.0 - 0.5 * (k % 2), 0.0]] for k in range(n)] for fn, n in (("f", f), ("g", g))}
+    ]
+    payload["sweep"] = {"h0": 1 / 64, "ratio": 0.5, "count": 3}  # h0 divides every breakpoint k/64
+    return payload
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_step_functions_at_the_segment_bound_are_accepted(tmp_path, capsys, command):
+    config = write_config(tmp_path, _with_segments(MAX_SEGMENTS, MAX_SEGMENTS))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fn", ["f", "g"])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_step_function_past_the_segment_bound_exits_two(tmp_path, capsys, command, fn):
+    segments = {"f": 1, "g": 1, fn: MAX_SEGMENTS + 1}
+    config = write_config(tmp_path, _with_segments(segments["f"], segments["g"]))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid 'step_function_pairs': pair 0 is malformed: expected at most 64 entries, got 65\n"
+    )
+
+
+@pytest.mark.parametrize("segments", [MAX_SEGMENTS + 1, 4 * MAX_SEGMENTS])
+def test_segment_bound_belongs_to_the_config_reader(tmp_path, segments):
+    payload = _with_segments(segments, 1)
+    assert len(step_function_from_payload(payload["step_function_pairs"][0]["f"]).durations) == segments
+    with pytest.raises(ConfigError, match=f"invalid 'step_function_pairs': .* got {segments}$"):
+        ExperimentConfig.from_payload(payload, tmp_path)
 
 
 #: (section, key, value) for every field FIELDS lists, each with a value no rule admits
@@ -551,7 +623,8 @@ def test_readme_config_format_names_every_field():
     section = text.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
     keys = {key for name, fields in FIELDS.items() if name != "tolerances" for key in fields}
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
-    assert "dimension_cap" not in section
+    for retired in ("dimension_cap", "noise_dim", "identity_h"):
+        assert retired not in section
 
 
 def test_cli_internal_error_exits_three(tmp_path, capsys, monkeypatch):
