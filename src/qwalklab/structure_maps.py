@@ -46,7 +46,15 @@ __all__ = [
 
 
 class NotStructureMapError(ValueError):
-    """The given map does not satisfy the structure relation."""
+    """The given map does not satisfy the structure relation.
+
+    residual is the measure that failed: the relation or round-trip residual,
+    or inf when the lower-right block is not a *-representation.
+    """
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -258,7 +266,7 @@ def extract_implementing_pair(phi: OperatorMap, chi, tol: float = 1e-10) -> Extr
     relation_residual = verify_structure_relation(phi, chi)
     if relation_residual > max(tol, 1e-8):
         raise NotStructureMapError(
-            f"structure relation residual {relation_residual:.3e} exceeds {max(tol, 1e-8):g}"
+            f"structure relation residual {relation_residual:.3e} exceeds {max(tol, 1e-8):g}", relation_residual
         )
     n = b.dim
     p = phi.dim - 1
@@ -271,13 +279,14 @@ def extract_implementing_pair(phi: OperatorMap, chi, tol: float = 1e-10) -> Extr
     try:
         triple.validate(tol=max(tol, 1e-10))
     except ValueError as exc:
-        raise NotStructureMapError(f"lower-right block is not a *-representation: {exc}") from exc
+        raise NotStructureMapError(f"lower-right block is not a *-representation: {exc}", np.inf) from exc
     rebuilt = structure_map_from_pair(triple, chi)
     residual = rebuilt.distance(phi)
     if residual > tol:
         raise NotStructureMapError(
             f"round-trip residual {residual:.3e} exceeds {tol:g}; "
-            "phi is not implemented by any (pi, xi)"
+            "phi is not implemented by any (pi, xi)",
+            residual,
         )
     kernel_dim = p - rank
     return ExtractionReport(

@@ -60,7 +60,6 @@ def test_config_round_trip(tmp_path):
     assert cfg.probes == (0, 1)
     assert cfg.sample_times == (1.0,)
     assert cfg.triple.D is None
-    assert cfg.tolerances["axioms"] == 1e-12
 
 
 def test_config_label_falls_back_to_stem(tmp_path):
@@ -79,7 +78,6 @@ def test_config_label_falls_back_to_stem(tmp_path):
         ({"triple": {"pi": "character:1", "xi": [[2.5, 0.0]]}}, r"h \* \|\|xi\|\|\^2"),
         ({"sample_times": [2.0]}, "sample times"),
         ({"probes": [0, 7]}, "probe indices"),
-        ({"tolerances": {"nope": 1.0}}, "unknown key 'nope' in 'tolerances'"),
         ({"dimension_cap": 64}, "unknown key 'dimension_cap'"),
         ({"noise_dim": 1}, "unknown key 'noise_dim'"),
         ({"identity_h": [0.5, 0.1, 0.01]}, "unknown key 'identity_h'"),
@@ -309,7 +307,7 @@ def test_cli_corrupted_coproduct_names_coassociativity(tmp_path, capsys):
 
 @pytest.mark.parametrize("axioms", [None, 1e-9])
 def test_cli_axioms_tolerance_applies_to_bialgebra_files(tmp_path, capsys, axioms):
-    # a file's axioms are checked as it loads, to the config's own "axioms" tolerance
+    # a file's axioms are checked as it loads, to the lab's fixed "axioms" tolerance; no config can loosen it
     config_path = write_demo("custom-file", tmp_path)
     bialgebra = read_json(tmp_path / "bialgebra.json")
     bialgebra["counit"][0][0] += 1e-11
@@ -317,18 +315,32 @@ def test_cli_axioms_tolerance_applies_to_bialgebra_files(tmp_path, capsys, axiom
     if axioms is not None:
         write_json(config_path, {**read_json(config_path), "tolerances": {"axioms": axioms}})
     code = main(["verify", "--config", str(config_path), "--out", str(tmp_path)])
-    entry = read_json(tmp_path / "report.json")["checks"]["bialgebra_axioms"]
     err = capsys.readouterr().err
     if axioms is None:
+        entry = read_json(tmp_path / "report.json")["checks"]["bialgebra_axioms"]
         assert code == 1
         assert entry["axiom"] == "counit_law"
         assert not entry["passed"]
         assert "counit_law violated" in err
     else:
-        assert ExperimentConfig.from_file(config_path).tolerances["axioms"] == axioms
-        assert entry["passed"]
-        assert entry["tolerance"] == axioms
-        assert "verification failed" not in err
+        assert code == 2
+        assert err == "error: unknown key 'tolerances' in the config\n"
+        assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_failed_extraction_is_a_failed_check(tmp_path, capsys):
+    # at ||xi|| = 1000 the round trip loses 7e-10 to rounding: verify reports it, it does not crash
+    payload = _demo_payload("c-z2")
+    payload["triple"]["xi"] = [[1000.0, 0.0]]
+    payload["sweep"] = {"h0": 1e-6, "count": 1}
+    config = write_config(tmp_path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 1
+    report = read_json(tmp_path / "report.json")
+    entry = report["checks"]["extraction_roundtrip"]
+    assert not report["passed"]
+    assert not entry["passed"]
+    assert entry["residual"] > entry["tolerance"] == 1e-10
+    assert "FAIL extraction_roundtrip" in capsys.readouterr().out
 
 
 def test_cli_oversized_step_exits_two(tmp_path, capsys):
@@ -346,7 +358,6 @@ MALFORMED_FIELDS = [
     ("sample_times", ("sample_times",), "x"),
     ("compatibility_depth", ("compatibility_depth",), "x"),
     ("final_error_bound", ("final_error_bound",), "x"),
-    ("tolerances", ("tolerances",), [1]),
     ("xi", ("triple", "xi"), [float("nan")]),
     ("compatibility_depth", ("compatibility_depth",), -1),
     ("step_function_pairs", ("step_function_pairs", 0, "f"), [[-0.5, [1.0, 0.0]], [1.5, [0.6, -0.3]]]),
@@ -384,9 +395,7 @@ MALFORMED_FIELDS = [
     ("time_horizon", ("time_horizon",), True),
     ("sample_times", ("sample_times",), [True]),
     ("final_error_bound", ("final_error_bound",), "0.05"),
-    ("tolerances", ("tolerances",), {"axioms": True}),
     ("xi", ("triple", "xi"), [[True, False]]),
-    ("tolerances", ("tolerances",), {"axioms": -1e-9}),
     ("final_error_bound", ("final_error_bound",), 0.0),
     ("final_error_bound", ("final_error_bound",), -0.05),
     ("label", ("label",), {"a": 1}),
@@ -399,12 +408,13 @@ MALFORMED_FIELDS = [
     ("sample_times", ("sample_times",), []),
     ("sweep", ("sweep",), 0),
     ("sweep", ("sweep",), []),
-    ("tolerances", ("tolerances",), False),
+    ("tolerances", ("tolerances",), {"axioms": 1e-9}),
     ("time_horizon", ("time_horizon",), -1),
     ("time_horizon", ("time_horizon",), 0),
     ("dimension_cap", ("dimension_cap",), 4096),
     ("noise_dim", ("noise_dim",), 1),
     ("identity_h", ("identity_h",), [0.5, 0.1, 0.01]),
+    ("pi", ("triple", "pi"), {"matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]], "note": "sign"}),
     ("sample_times", ("sample_times",), [0.5, 0.5000001]),
     ("sample_times", ("sample_times",), [1.0, 1.0]),
     ("sample_times", ("sample_times",), [k / 65 for k in range(1, 66)]),
@@ -561,6 +571,7 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": {"a": 1}}, "name"),
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": [1]}, "name"),
         ({"file": "bad.json"}, {"dim": 1000000}, "dim"),
+        ({"file": "bad.json", "builtin": "group_algebra", "group": "z2"}, {}, "bialgebra"),
     ],
     ids=[
         "group-not-a-group",
@@ -583,6 +594,7 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         "group-object-name",
         "group-list-name",
         "bialgebra-huge-dim",
+        "bialgebra-file-beside-group",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -617,13 +629,12 @@ def test_group_file_algebra_carries_the_counit_only(tmp_path, capsys, command):
 
 
 def test_readme_config_format_names_every_field():
-    # the README's "Config format" section names, in backticks, every key FIELDS reads outside
-    # 'tolerances' (whose keys are the report's check names), and no retired key
+    # the README's "Config format" section names, in backticks, every key FIELDS reads, and no retired key
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
-    keys = {key for name, fields in FIELDS.items() if name != "tolerances" for key in fields}
+    keys = {key for fields in FIELDS.values() for key in fields}
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
-    for retired in ("dimension_cap", "noise_dim", "identity_h"):
+    for retired in ("dimension_cap", "noise_dim", "identity_h", "tolerances"):
         assert retired not in section
 
 

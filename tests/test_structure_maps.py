@@ -107,8 +107,9 @@ def test_perturbed_map_is_rejected(c_z2, c_z2_eval_triple):
     mats[:, 1:, 1:] += 0.1 * np.eye(phi.dim - 1)
     bad = OperatorMap(c_z2, mats)
     assert verify_structure_relation(bad, c_z2.counit) > 0.05
-    with pytest.raises(NotStructureMapError):
+    with pytest.raises(NotStructureMapError) as exc:
         extract_implementing_pair(bad, c_z2.counit)
+    assert exc.value.residual == verify_structure_relation(bad, c_z2.counit)
 
 
 def test_phi_at_unit_zero_iff_pi_unital(c_z2, group_s3):

@@ -14,7 +14,7 @@ from qwalklab import (
     verify_error_identity,
     vector_state_check,
 )
-from qwalklab.experiment import DEFAULT_TOLERANCES
+from qwalklab.experiment import TOLERANCES
 from qwalklab.linalg import compress, dag, opnorms
 from qwalklab.walk import gap_map
 
@@ -220,9 +220,9 @@ def test_error_identity_reads_the_walk_step(request, monkeypatch, triple_name):
 
     triple = request.getfixturevalue(triple_name)
     chi = triple.source.counit
-    assert verify_error_identity(triple, chi, 0.1) <= DEFAULT_TOLERANCES["error_identity"]
+    assert verify_error_identity(triple, chi, 0.1) <= TOLERANCES["error_identity"]
     monkeypatch.setattr(walk, "build_walk", adjoint_step)
-    assert verify_error_identity(triple, chi, 0.1) > DEFAULT_TOLERANCES["error_identity"]
+    assert verify_error_identity(triple, chi, 0.1) > TOLERANCES["error_identity"]
 
 
 def test_vector_state_realisation(c_z2, c_z2_eval_triple):
