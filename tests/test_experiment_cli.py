@@ -415,6 +415,9 @@ MALFORMED_FIELDS = [
     ("noise_dim", ("noise_dim",), 1),
     ("identity_h", ("identity_h",), [0.5, 0.1, 0.01]),
     ("pi", ("triple", "pi"), {"matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]], "note": "sign"}),
+    ("pi", ("triple", "pi"), {"xi": [[1.0, 0.0]], "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}),
+    ("pi", ("triple", "pi"), {"D": [[[1.0, 0.0]]], "matrices": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}),
+    ("pi", ("triple", "pi"), {"note": "sign"}),
     ("sample_times", ("sample_times",), [0.5, 0.5000001]),
     ("sample_times", ("sample_times",), [1.0, 1.0]),
     ("sample_times", ("sample_times",), [k / 65 for k in range(1, 66)]),
@@ -572,6 +575,11 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         (GROUP_FILE, {"order": 2, "mult_table": [0, 1, 1, 0], "name": [1]}, "name"),
         ({"file": "bad.json"}, {"dim": 1000000}, "dim"),
         ({"file": "bad.json", "builtin": "group_algebra", "group": "z2"}, {}, "bialgebra"),
+        ({"file": "bad.json", "builtin": "group_algebra"}, {}, "bialgebra"),
+        ({"file": "bad.json", "group": "z2"}, {}, "bialgebra"),
+        ({"builtin": "group_algebra"}, {}, "bialgebra"),
+        ({"group": "z2"}, {}, "bialgebra"),
+        ({}, {}, "bialgebra"),
     ],
     ids=[
         "group-not-a-group",
@@ -595,6 +603,11 @@ GROUP_FILE = {"builtin": "group_algebra", "group": {"file": "bad.json"}}
         "group-list-name",
         "bialgebra-huge-dim",
         "bialgebra-file-beside-group",
+        "bialgebra-file-beside-builtin-alone",
+        "bialgebra-file-beside-group-alone",
+        "bialgebra-builtin-without-group",
+        "bialgebra-group-without-builtin",
+        "bialgebra-names-nothing",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "sweep"])
