@@ -24,22 +24,21 @@ _EXPORTS = {
     "cbnorm": ("amplified_norm",),
     "cocycle": ("CocycleEvaluator", "assoc_generator"),
     "convolution": (
-        "ConvolutionSemigroup", "DimensionCapExceeded", "check_compatibility", "composition_iterates",
-        "convolution_iterates", "convolve", "convolve_functionals", "lift",
+        "ConvolutionSemigroup", "DimensionCapExceeded", "check_compatibility", "convolve_functionals",
     ),
     "experiment": ("ConfigError", "ExperimentConfig", "run_sweep", "run_verify", "write_demo"),
     "fock": (
-        "GridSpec", "PartitionMismatch", "StepFunction", "step_function_from_payload",
-        "step_function_to_payload", "walk_matrix_element",
+        "PartitionMismatch", "StepFunction", "step_function_from_payload", "step_function_to_payload",
+        "walk_matrix_element",
     ),
     "groups": ("FiniteGroup", "GroupTableError", "cyclic_group", "symmetric_group"),
     "serialize": ("FormatError",),
     "structure_maps": (
-        "HatSpace", "ImplementingTriple", "NotStructureMapError", "OperatorMap", "extract_implementing_pair",
+        "ImplementingTriple", "NotStructureMapError", "OperatorMap", "extract_implementing_pair",
         "structure_map_from_pair", "verify_cp_decomposition", "verify_structure_relation",
     ),
     "walk": (
-        "StepSizeError", "WalkStep", "build_unitary", "build_walk", "error_terms", "verify_error_identity",
+        "StepSizeError", "build_unitary", "build_walk", "error_terms", "verify_error_identity",
         "vector_state_check",
     ),
 }

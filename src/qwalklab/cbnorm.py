@@ -27,11 +27,13 @@ the unit-ball maximizer is the unitary polar factor of G.  Both
 half-steps are exact, so the objective is nondecreasing and every
 accepted value is a certified lower bound.  Neither depends on the
 representation, so a start in B climbs through the same elements of B
-on the blocks as on rep.  All starts climb together as one stack.  P
-and the start stack depend only on (bialgebra, amp), which all rows of a
-sweep share.  The memo is functools.lru_cache(maxsize=1) on _frame: the
-key is its arguments, where the bialgebra (frozen, with read-only
-arrays) compares by identity and amp by value.  The random starts are
+on the blocks as on rep.  All starts climb together as one stack.  The
+amplification is always K = theta.dim, which already gives the cb norm,
+so no caller chooses it.  P and the start stack depend only on
+(bialgebra, K), which all rows of a sweep share.  The memo is
+functools.lru_cache(maxsize=1) on _frame: the key is its arguments,
+where the bialgebra (frozen, with read-only arrays) compares by identity
+and K by value.  The random starts are
 seeded draws from the stdlib generator (linalg.standard_normal): numpy's
 random module would add about 6 MB of resident memory and 19 ms of
 import to every run for this one batch.
@@ -57,35 +59,34 @@ class AmplifiedMap:
     Every method takes one matrix (or vector) or a stack of them along leading axes.
     """
 
-    def __init__(self, theta: OperatorMap, amp: int | None = None):
+    def __init__(self, theta: OperatorMap):
         self.theta = theta
-        self.amp = theta.dim if amp is None else int(amp)
         self.rep_dim = theta.source.block_rep.shape[1]
-        self.pairing, self.dual, self.starts = _frame(theta.source, self.amp)
+        self.pairing, self.dual, self.starts = _frame(theta.source, theta.dim)
         self.mats = theta.mats.reshape(theta.source.dim, -1)
         self.mats_h = np.conjugate(self.mats.T)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        r, m, k = self.rep_dim, self.amp, self.theta.dim
-        rows = x.reshape(-1, r, m, r, m).transpose(0, 2, 4, 1, 3).reshape(-1, m * m, r * r)
-        out = (rows @ self.pairing @ self.mats).reshape(-1, m, m, k, k).transpose(0, 3, 1, 4, 2)
-        return out.reshape(x.shape[:-2] + (k * m, k * m))
+        r, k = self.rep_dim, self.theta.dim
+        rows = x.reshape(-1, r, k, r, k).transpose(0, 2, 4, 1, 3).reshape(-1, k * k, r * r)
+        out = (rows @ self.pairing @ self.mats).reshape(-1, k, k, k, k).transpose(0, 3, 1, 4, 2)
+        return out.reshape(x.shape[:-2] + (k * k, k * k))
 
     def functional_matrix(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """G with <u, apply(X) v> = tr(G^H X) for all X."""
-        r, m, k = self.rep_dim, self.amp, self.theta.dim
-        u2 = u.reshape(-1, k, m).transpose(0, 2, 1)
-        v2 = np.conjugate(v.reshape(-1, k, m).transpose(0, 2, 1))
-        rows = (u2[:, :, None, :, None] * v2[:, None, :, None, :]).reshape(-1, m * m, k * k)
-        g = (rows @ self.mats_h @ self.dual).reshape(-1, m, m, r, r).transpose(0, 3, 1, 4, 2)
-        return g.reshape(u.shape[:-1] + (r * m, r * m))
+        r, k = self.rep_dim, self.theta.dim
+        u2 = u.reshape(-1, k, k).transpose(0, 2, 1)
+        v2 = np.conjugate(v.reshape(-1, k, k).transpose(0, 2, 1))
+        rows = (u2[:, :, None, :, None] * v2[:, None, :, None, :]).reshape(-1, k * k, k * k)
+        g = (rows @ self.mats_h @ self.dual).reshape(-1, k, k, r, r).transpose(0, 3, 1, 4, 2)
+        return g.reshape(u.shape[:-1] + (r * k, r * k))
 
 
 @functools.lru_cache(maxsize=1)
-def _frame(source, amp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (P, P^H, starts) for this bialgebra and amp.
+def _frame(source, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (P, P^H, starts) for this bialgebra and output dimension K.
 
-    The starts are the identity, kron(rho_i / ||rho_i||, 1_amp) for each
+    The starts are the identity, kron(rho_i / ||rho_i||, 1_K) for each
     block_rep basis element and a fixed-seed batch of random unitaries,
     the polar factors of complex Gaussians drawn by the stdlib generator
     (random.Random through linalg.standard_normal), which keeps numpy's
@@ -97,8 +98,8 @@ def _frame(source, amp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dual = np.conjugate(np.linalg.inv(np.conjugate(flat) @ flat.T)) @ flat
     pairing = np.conjugate(dual.T)
     unit = rep / opnorms(rep)[:, None, None]
-    n = rep.shape[1] * amp
-    basis = (unit[:, :, None, :, None] * np.eye(amp, dtype=complex)[None, None, :, None, :]).reshape(-1, n, n)
+    n = rep.shape[1] * k
+    basis = (unit[:, :, None, :, None] * np.eye(k, dtype=complex)[None, None, :, None, :]).reshape(-1, n, n)
     z = standard_normal(_SEED, (_EXTRA_STARTS, 2, n, n))
     starts = np.concatenate([np.eye(n, dtype=complex)[None], basis, polar_unitary(z[:, 0] + 1j * z[:, 1])])
     for arr in (pairing, dual, starts):
@@ -106,8 +107,8 @@ def _frame(source, amp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairing, dual, starts
 
 
-def amplified_norm(theta: OperatorMap, amp: int | None = None) -> float:
-    """Lower-bound-certified estimate of ||theta (x) id|| (= cb norm here).
+def amplified_norm(theta: OperatorMap) -> float:
+    """Lower-bound-certified estimate of ||theta (x) id_{M_K}||, the cb norm of theta.
 
     Deterministic: every start of the frame climbs by alternating ascent
     until its objective stalls (val <= prev (1 + 1e-13)) or 400 rounds
@@ -115,7 +116,7 @@ def amplified_norm(theta: OperatorMap, amp: int | None = None) -> float:
     """
     if float(np.max(np.abs(theta.mats))) == 0.0:
         return 0.0
-    amap = AmplifiedMap(theta, amp)
+    amap = AmplifiedMap(theta)
     x = amap.starts
     prev = np.full(len(x), -np.inf)
     best = 0.0

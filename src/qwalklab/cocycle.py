@@ -31,18 +31,18 @@ import numpy as np
 from .convolution import ConvolutionSemigroup
 from .fock import StepFunction, _as_coeffs, _piecewise_product
 from .linalg import as_complex_array
-from .structure_maps import OperatorMap
+from .structure_maps import OperatorMap, hat
 
 __all__ = ["assoc_generator", "CocycleEvaluator"]
 
 
 def assoc_generator(phi: OperatorMap, c, d) -> np.ndarray:
     """phi_{c,d} = <hat(c), phi(.) hat(d)> + <c, d> eps(.), as a coefficient row."""
-    hat = phi.hat
     c = np.atleast_1d(as_complex_array(c))
     d = np.atleast_1d(as_complex_array(d))
-    chat, dhat = hat.hat(c), hat.hat(d)
-    vals = np.einsum("a,iab,b->i", np.conjugate(chat), phi.mats, dhat)
+    if c.shape != (phi.dim - 1,) or d.shape != c.shape:
+        raise ValueError(f"noise vectors have shapes {c.shape} and {d.shape}, expected ({phi.dim - 1},)")
+    vals = np.einsum("a,iab,b->i", np.conjugate(hat(c)), phi.mats, hat(d))
     return vals + np.vdot(c, d) * phi.source.counit
 
 
@@ -52,7 +52,6 @@ class CocycleEvaluator:
     def __init__(self, phi: OperatorMap):
         self.phi = phi
         self.source = phi.source
-        self.hat = phi.hat
 
     def matrix_element(self, b_coeffs, f: StepFunction, g: StepFunction, t: float) -> complex:
         """<eps(f), l_t(b) eps(g)>; b may be a basis index or coefficients.
@@ -61,7 +60,7 @@ class CocycleEvaluator:
         """
         if t < 0:
             raise ValueError("time must be nonnegative")
-        dim = self.hat.noise_dim
+        dim = self.phi.dim - 1
         if f.noise_dim != dim or g.noise_dim != dim:
             raise ValueError(
                 f"step functions have noise dimension {f.noise_dim}/{g.noise_dim}, "

@@ -1,22 +1,24 @@
-"""Convolution of functionals and operator-valued maps over the coproduct.
+"""Convolution of functionals over the coproduct, and the compatibility check.
 
-Two maps f, g convolve to (f * g)(b_i) = sum_{jk} Delta_i^{jk} f(b_j)
-(x) g(b_k); matrix values combine by Kronecker product, so iterated
-convolution targets grow geometrically, and an array of more than
-MAX_LIFTED_ENTRIES complex entries is refused before it is built.  The
-n-fold convolution of a walk step is the n-step walk; its lifted form
-(coefficients in B tensor operators) composes by (Psi_{n-1} (x) id) o
-Psi, and applying the counit to the lift recovers the convolution
-iterate.
+Two functionals f, g convolve to (f * g)(b_i) = sum_{jk} Delta_i^{jk}
+f(b_j) g(b_k).  The walk and the cocycle limit are both products of
+functionals (fock._piecewise_product), so that is the one convolution
+the library runs.
 
-That last identity, (eps (x) id) o Psi^{o n} = psi^{* n}, holds for any
-tensors Delta and eps, with no bialgebra axiom behind it: contracting
-eps early turns the composition into the same recursion as
-convolution_iterates.  check_compatibility therefore compares two
-evaluation orders; a pass confirms the index conventions of the two
+check_compatibility compares two evaluation orders of the n-th walk
+iterate with matrix values.  The Kronecker route convolves psi with
+itself, values combining by Kronecker product: psi^{*n}(b_i) = sum_{jk}
+Delta_i^{jk} psi^{*(n-1)}(b_j) (x) psi(b_k), from psi^{*0} = eps.  The
+lifted route composes Psi = (id (x) psi) o Delta, with coefficients in
+B tensor operators, by Psi^{o n} = (Psi^{o (n-1)} (x) id) o Psi, and
+applies the counit.  The identity (eps (x) id) o Psi^{o n} = psi^{*n}
+holds for any tensors Delta and eps, with no bialgebra axiom behind it:
+contracting eps early turns the composition into the Kronecker
+recursion.  A pass therefore confirms the index conventions of the two
 routes, and coassociativity itself is checked by verify_bialgebra.  The
-lifted iterate holds dim(B)^2 K^(2n) complex entries, the convolution
-iterate dim(B) K^(2n).
+lifted iterate holds dim(B)^2 K^(2n) complex entries, the Kronecker
+iterate dim(B) K^(2n); a depth whose lifted iterate would hold more than
+MAX_LIFTED_ENTRIES is refused before anything is built.
 
 Convolution exponentials exp_*(t psi) of a functional psi are computed
 by materializing the one-sided convolution operator T_psi = (id (x)
@@ -25,29 +27,22 @@ scaling-and-squaring matrix exponential of linalg.expm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bialgebra import CounitalBialgebra
-from .linalg import as_complex_array, expm, readonly
+from .linalg import as_complex_array, expm, opnorms
 from .structure_maps import OperatorMap
 
 __all__ = [
     "DimensionCapExceeded",
     "MAX_LIFTED_ENTRIES",
-    "convolve",
     "convolve_functionals",
     "transfer_matrix",
-    "convolution_iterates",
-    "LiftedMap",
-    "lift",
-    "composition_iterates",
     "check_compatibility",
     "ConvolutionSemigroup",
 ]
 
-#: complex entries any array built here may hold (2**24, 268 MB)
+#: complex entries the compatibility check's lifted iterate may hold (2**24, 268 MB)
 MAX_LIFTED_ENTRIES = 2**24
 
 
@@ -66,21 +61,8 @@ def _check_entries(rows: int, k: int, n: int = 1):
         )
 
 
-def convolve(f: OperatorMap, g: OperatorMap) -> OperatorMap:
-    """(f * g)(b_i) = sum_{jk} Delta_i^{jk} f(b_j) (x) g(b_k)."""
-    b = f.source
-    if g.source is not b and g.source.dim != b.dim:
-        raise ValueError("convolution factors live on different bialgebras")
-    k = f.dim * g.dim
-    _check_entries(b.dim, k)
-    out = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, f.mats, g.mats, optimize=True)
-    out = out.reshape(b.dim, k, k)
-    out.setflags(write=False)  # fresh: OperatorMap keeps it without a copy
-    return OperatorMap(b, out)
-
-
 def convolve_functionals(b: CounitalBialgebra, f, g) -> np.ndarray:
-    """Scalar-valued special case; returns the coefficient row of f * g."""
+    """The coefficient row of f * g."""
     return np.einsum("ijk,j,k->i", b.coproduct, as_complex_array(f), as_complex_array(g))
 
 
@@ -89,69 +71,34 @@ def transfer_matrix(b: CounitalBialgebra, psi) -> np.ndarray:
     return np.einsum("ijk,k->ij", b.coproduct, as_complex_array(psi))
 
 
-def convolution_iterates(psi: OperatorMap, n: int) -> OperatorMap:
-    """psi^{*n}; psi^{*0} is the counit (1x1 matrices)."""
+def _compatibility_iterates(psi: OperatorMap, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eps (x) id) o Psi^{o n} and psi^{* n}, each as a (dim B, K^n, K^n) stack.
+
+    The bound on the lifted iterate is checked before anything is
+    allocated.  The lifted route is contracted by eps before the
+    Kronecker route starts, so the two largest arrays are never held at
+    once.
+    """
     if n < 0:
         raise ValueError("iterate count must be nonnegative")
-    b = psi.source
-    _check_entries(b.dim, psi.dim, n)
-    out = OperatorMap.from_functional(b, b.counit)
-    for _ in range(n):
-        out = convolve(out, psi)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedMap:
-    """Psi(b_i) = sum_j b_j (x) blocks[i, j] in B (x) M_K."""
-
-    source: CounitalBialgebra
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        blocks = readonly(self.blocks)
-        n = self.source.dim
-        if blocks.ndim != 4 or blocks.shape[:2] != (n, n) or blocks.shape[2] != blocks.shape[3]:
-            raise ValueError(f"blocks have shape {blocks.shape}, expected ({n}, {n}, K, K)")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def dim(self) -> int:
-        return self.blocks.shape[2]
-
-    def counit_contract(self) -> OperatorMap:
-        """(eps (x) id) applied to the values; recovers an operator map."""
-        mats = np.einsum("j,ijab->iab", self.source.counit, self.blocks)
-        mats.setflags(write=False)  # fresh: OperatorMap keeps it without a copy
-        return OperatorMap(self.source, mats)
-
-
-def lift(psi: OperatorMap) -> LiftedMap:
-    """Psi = (id (x) psi) o Delta."""
-    b = psi.source
-    return LiftedMap(b, np.einsum("ijk,kab->ijab", b.coproduct, psi.mats))
-
-
-def composition_iterates(psi_lifted: LiftedMap, n: int) -> LiftedMap:
-    """Psi^{o n} = (Psi^{o n-1} (x) id) o Psi; Psi^{o 0} is the identity lift."""
-    if n < 0:
-        raise ValueError("iterate count must be nonnegative")
-    b = psi_lifted.source
-    _check_entries(b.dim**2, psi_lifted.dim, n)
-    out = LiftedMap(b, np.eye(b.dim, dtype=complex).reshape(b.dim, b.dim, 1, 1))
-    for _ in range(n):
-        merged = np.einsum("jlAB,ijab->ilAaBb", out.blocks, psi_lifted.blocks)
-        merged.setflags(write=False)  # fresh: LiftedMap keeps it without a copy
-        k = out.dim * psi_lifted.dim
-        out = LiftedMap(b, merged.reshape(b.dim, b.dim, k, k))
-    return out
+    b, k = psi.source, psi.dim
+    _check_entries(b.dim**2, k, n)
+    lifted = np.einsum("ijk,kab->ijab", b.coproduct, psi.mats)
+    composed = np.eye(b.dim, dtype=complex).reshape(b.dim, b.dim, 1, 1)
+    for m in range(1, n + 1):
+        composed = np.einsum("jlAB,ijab->ilAaBb", composed, lifted).reshape(b.dim, b.dim, k**m, k**m)
+    composed = np.einsum("j,ijab->iab", b.counit, composed)
+    convolved = as_complex_array(b.counit).reshape(-1, 1, 1)
+    for m in range(1, n + 1):
+        convolved = np.einsum("ijk,jab,kcd->iacbd", b.coproduct, convolved, psi.mats, optimize=True)
+        convolved = convolved.reshape(b.dim, k**m, k**m)
+    return composed, convolved
 
 
 def check_compatibility(psi: OperatorMap, n: int) -> float:
-    """Distance between (eps (x) id) o Psi^{o n} and psi^{* n}."""
-    composed = composition_iterates(lift(psi), n).counit_contract()
-    convolved = convolution_iterates(psi, n)
-    return composed.distance(convolved)
+    """Max operator-norm distance between (eps (x) id) o Psi^{o n} and psi^{* n}."""
+    composed, convolved = _compatibility_iterates(psi, n)
+    return float(np.max(opnorms(composed - convolved)))
 
 
 class ConvolutionSemigroup:

@@ -33,9 +33,9 @@ from .convolution import (
     convolve_functionals,
 )
 from .fock import (
-    GridSpec,
     PartitionMismatch,
     StepFunction,
+    _cell_count,
     _validate_alignment,
     step_function_from_payload,
     walk_matrix_element,
@@ -367,7 +367,7 @@ class ExperimentConfig:
                 f"invalid 'sweep': h = {h_min:g} splits sample time {longest:g} into more than "
                 "2**53 cells, past which cell counts are not exact integers"
             )
-        pairs, grids = cfg["step_function_pairs"], [GridSpec.from_time(longest, h) for h in h_values]
+        pairs, grid_ends = cfg["step_function_pairs"], [h * _cell_count(longest, h) for h in h_values]
         for k, pair in enumerate(pairs):
             for fn in pair:
                 if fn.noise_dim != noise_dim:
@@ -375,9 +375,9 @@ class ExperimentConfig:
                         f"invalid 'step_function_pairs': pair {k} has noise dimension {fn.noise_dim}, "
                         f"triple expects {noise_dim}"
                     )
-                for grid in grids:  # the sweep's own alignment rule, applied before any run
+                for h, grid_end in zip(h_values, grid_ends):  # the sweep's own alignment rule, applied before any run
                     try:
-                        _validate_alignment(fn, grid)
+                        _validate_alignment(fn, h, grid_end)
                     except PartitionMismatch as exc:
                         raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
         probes = tuple(range(b.dim)) if cfg["probes"] == "all" else cfg["probes"]
@@ -459,7 +459,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     homomorphic = triple.D is None
     unitarity = identity_res = vector_res = 0.0
     for h in config.h_values:  # from_payload checked h ||xi||^2 <= 1 and the cell count for each
-        u = build_unitary(triple.xi, h).unitary
+        u = build_unitary(triple.xi, h)
         eye = np.eye(u.shape[0])
         unitarity = max(unitarity, opnorm(u.conj().T @ u - eye), opnorm(u @ u.conj().T - eye))
         identity_res = max(identity_res, verify_error_identity(triple, chi, h))
@@ -541,7 +541,7 @@ def _sweep_row(config: ExperimentConfig, phi: OperatorMap, limits: dict[str, com
     }
     return {
         "h": h,
-        "n_steps": GridSpec.from_time(max(config.sample_times), h).n,
+        "n_steps": _cell_count(max(config.sample_times), h),
         "generator_gap": gap,
         "max_error": max(errors.values()),
         "errors": dict(sorted(errors.items())),

@@ -20,7 +20,7 @@ The probe b enters only the final dot product, so the functional is
 evaluated once per (psi, f, g, t, h) and reused for the next probe.
 The memo is functools.lru_cache(maxsize=1) on _walk_functional: the key
 is its arguments, where psi, f and g (frozen, with read-only arrays)
-compare by identity and the grid's h and horizon by value.  The
+compare by identity and h and the horizon by value.  The
 (d+1)^n-dimensional iterate is never materialized; the materialized
 route, a Kronecker oracle in tests/oracles.py, checks it at small n.
 """
@@ -34,12 +34,11 @@ import numpy as np
 from .convolution import convolve_functionals, transfer_matrix
 from .linalg import as_complex_array, readonly
 from .serialize import FormatError, finite_number
-from .structure_maps import OperatorMap
+from .structure_maps import OperatorMap, hat
 
 __all__ = [
     "PartitionMismatch",
     "StepFunction",
-    "GridSpec",
     "walk_matrix_element",
     "step_function_to_payload",
     "step_function_from_payload",
@@ -127,27 +126,14 @@ def _pieces(a: float, b: float, f: StepFunction, g: StepFunction):
         yield lo, hi, f.value_at(mid), g.value_at(mid)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A uniform grid of n cells of width h covering [0, n h)."""
-
-    h: float
-    n: int
-
-    def __post_init__(self):
-        if self.h <= 0 or self.n < 0:
-            raise ValueError("grid requires h > 0 and n >= 0")
-
-    @property
-    def horizon(self) -> float:
-        return self.h * self.n
-
-    @classmethod
-    def from_time(cls, t: float, h: float) -> "GridSpec":
-        """Floor convention: n = floor(t / h), tolerant of float division dust."""
-        if h <= 0:
-            raise ValueError("step length h must be positive")
-        return cls(h=h, n=int(np.floor(t / h + ALIGN_RTOL)))
+def _cell_count(t: float, h: float) -> int:
+    """Cells of width h in [0, t]: floor(t / h), tolerant of float division dust."""
+    if h <= 0:
+        raise ValueError("step length h must be positive")
+    n = int(np.floor(t / h + ALIGN_RTOL))
+    if n < 0:
+        raise ValueError(f"time t = {t:g} must be nonnegative")
+    return n
 
 
 def _on_grid(t: float, h: float) -> bool:
@@ -155,11 +141,12 @@ def _on_grid(t: float, h: float) -> bool:
     return abs(ratio - round(ratio)) <= ALIGN_RTOL * max(1.0, abs(ratio))
 
 
-def _validate_alignment(f: StepFunction, grid: GridSpec):
+def _validate_alignment(f: StepFunction, h: float, horizon: float):
+    """Every breakpoint of f before the horizon lies on the h-grid."""
     for t in f.breakpoints:
-        if t < grid.horizon * (1 - ALIGN_RTOL) and not _on_grid(float(t), grid.h):
+        if t < horizon * (1 - ALIGN_RTOL) and not _on_grid(float(t), h):
             raise PartitionMismatch(
-                f"step-function breakpoint {t:g} is not a multiple of h = {grid.h:g}; "
+                f"step-function breakpoint {t:g} is not a multiple of h = {h:g}; "
                 "the grid must refine the step partition"
             )
 
@@ -178,16 +165,16 @@ def walk_matrix_element(
     at b, times the tail factor.  The checks run on every call, before
     the memoized row and tail are read.
     """
-    grid = GridSpec.from_time(t, h)
+    horizon = h * _cell_count(t, h)
     if psi.dim != f.noise_dim + 1 or f.noise_dim != g.noise_dim:
         raise ValueError(
             f"walk step acts on hat dimension {psi.dim} but step functions have "
             f"noise dimension {f.noise_dim}/{g.noise_dim}"
         )
-    _validate_alignment(f, grid)
-    _validate_alignment(g, grid)
+    _validate_alignment(f, h, horizon)
+    _validate_alignment(g, h, horizon)
     b_coeffs = _as_coeffs(psi.source, b_coeffs)
-    row, tail = _walk_functional(psi, f, g, grid.h, grid.horizon)
+    row, tail = _walk_functional(psi, f, g, h, horizon)
     return complex(np.dot(row, b_coeffs) * tail)
 
 
@@ -197,7 +184,7 @@ def _walk_functional(psi: OperatorMap, f: StepFunction, g: StepFunction, h: floa
     src, root_h = psi.source, np.sqrt(h)
 
     def power(c, d, duration):
-        u, v = psi.hat.hat(root_h * c), psi.hat.hat(root_h * d)
+        u, v = hat(root_h * c), hat(root_h * d)
         lam = np.einsum("a,iab,b->i", np.conjugate(u), psi.mats, v)
         return np.linalg.matrix_power(transfer_matrix(src, lam), round(duration / h)) @ src.counit
 

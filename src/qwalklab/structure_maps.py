@@ -30,7 +30,7 @@ from .bialgebra import CounitalBialgebra
 from .linalg import as_complex_array, compress, dag, opnorm, opnorms, readonly
 
 __all__ = [
-    "HatSpace",
+    "hat",
     "OperatorMap",
     "ImplementingTriple",
     "NotStructureMapError",
@@ -57,34 +57,9 @@ class NotStructureMapError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class HatSpace:
-    """C (+) C^d with e_0 = (1, 0, ..., 0) and hat(c) = (1, c)."""
-
-    noise_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.noise_dim + 1
-
-    @property
-    def e0(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-    @property
-    def qs_projection(self) -> np.ndarray:
-        """diag(0, I_d): annihilates e_0, identity on the noise block."""
-        p = np.eye(self.dim, dtype=complex)
-        p[0, 0] = 0.0
-        return p
-
-    def hat(self, c) -> np.ndarray:
-        c = np.atleast_1d(as_complex_array(c))
-        if c.shape != (self.noise_dim,):
-            raise ValueError(f"vector has shape {c.shape}, expected ({self.noise_dim},)")
-        return np.concatenate([[1.0 + 0.0j], c])
+def hat(c) -> np.ndarray:
+    """The hat lifting (1, c) of a noise vector c."""
+    return np.concatenate([[1.0 + 0.0j], np.atleast_1d(as_complex_array(c))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +78,6 @@ class OperatorMap:
     @property
     def dim(self) -> int:
         return self.mats.shape[1]
-
-    @property
-    def hat(self) -> HatSpace:
-        return HatSpace(self.dim - 1)
 
     def __call__(self, coeffs) -> np.ndarray:
         coeffs = as_complex_array(coeffs)
@@ -132,11 +103,6 @@ class OperatorMap:
         return OperatorMap(self.source, self.mats * complex(scalar))
 
     __rmul__ = __mul__
-
-    @classmethod
-    def from_functional(cls, source: CounitalBialgebra, values) -> "OperatorMap":
-        values = as_complex_array(values)
-        return cls(source, values.reshape(-1, 1, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +132,8 @@ class ImplementingTriple:
         object.__setattr__(self, "xi", xi)
         if self.D is not None:
             d_mat = readonly(np.atleast_2d(self.D))
-            if d_mat.shape[0] != p:
-                raise ValueError(f"D has shape {d_mat.shape}, expected ({p}, d)")
+            if d_mat.shape[0] != p or d_mat.shape[1] == 0:
+                raise ValueError(f"D has shape {d_mat.shape}, expected ({p}, d) with d >= 1")
             object.__setattr__(self, "D", d_mat)
 
     @property
@@ -226,9 +192,10 @@ def verify_structure_relation(phi: OperatorMap, chi) -> float:
     """Max residual of the structure relation over all basis pairs (a, b)."""
     b = phi.source
     chi = as_complex_array(chi)
-    qs = phi.hat.qs_projection
     mats = phi.mats
     adj = dag(mats)
+    qs = np.eye(phi.dim, dtype=complex)  # diag(0, I): kills the e_0 component
+    qs[0, 0] = 0.0
     lhs = np.einsum("ijl,lab->ijab", _star_product_tensor(b), mats)
     rhs = (
         np.einsum("iab,j->ijab", adj, chi)
@@ -342,12 +309,12 @@ def verify_cp_decomposition(
     """
     b = phi.source
     chi = as_complex_array(chi)
-    hat = phi.hat
     zeta = as_complex_array(zeta)
-    if zeta.shape != (hat.dim,):
-        raise ValueError(f"zeta has shape {zeta.shape}, expected ({hat.dim},)")
-    e0 = hat.e0
-    bump = hat.qs_projection + np.outer(zeta, np.conjugate(e0)) + np.outer(e0, np.conjugate(zeta))
+    if zeta.shape != (phi.dim,):
+        raise ValueError(f"zeta has shape {zeta.shape}, expected ({phi.dim},)")
+    e0 = np.eye(phi.dim, dtype=complex)[0]
+    qs = np.diag(1.0 - e0)  # P = diag(0, I)
+    bump = qs + np.outer(zeta, np.conjugate(e0)) + np.outer(e0, np.conjugate(zeta))
     phi2 = OperatorMap(b, chi[:, None, None] * bump[None, :, :])
     phi1 = phi + phi2
     min_eig = float(np.linalg.eigvalsh(_hermitized(cp_block_matrix(phi1)))[0])

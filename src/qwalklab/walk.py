@@ -22,20 +22,20 @@ from the structure-map generator is given exactly by
 
     phi - W* nu(.) W = h/(1+c_h) phi_1 - h^2/(1+c_h)^2 phi_2,
 
-with explicit first- and second-order terms phi_1, phi_2.
+with first- and second-order terms that are compressions of nu too:
+phi_1 = V_0* nu(.) Y + Y* nu(.) V_0 and phi_2 = Y* nu(.) Y, where V_0 =
+[xi, D] is the generator's own isometry and Y = xi [0, (D* xi)*].
+build_unitary returns U itself, read-only; c_h is its [0, 0] entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import as_complex_array, compress, opnorms, readonly
+from .linalg import as_complex_array, compress, dag, opnorms
 from .structure_maps import ImplementingTriple, OperatorMap, structure_map_from_pair
 
 __all__ = [
     "StepSizeError",
-    "WalkStep",
     "build_unitary",
     "build_walk",
     "error_terms",
@@ -49,19 +49,11 @@ class StepSizeError(ValueError):
     """h ||xi||^2 > 1: the walk unitary does not exist at this step length."""
 
 
-@dataclass(frozen=True, eq=False)
-class WalkStep:
-    """The cosine c_h and the assembled unitary of one step."""
+def build_unitary(xi, h: float) -> np.ndarray:
+    """The read-only one-step unitary U; requires h ||xi||^2 <= 1 (strict, no clamping).
 
-    c_h: float
-    unitary: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitary", readonly(self.unitary))
-
-
-def build_unitary(xi, h: float) -> WalkStep:
-    """Assemble the one-step unitary; requires h ||xi||^2 <= 1 (strict, no clamping)."""
+    Its [0, 0] entry is the cosine c_h.
+    """
     xi = np.atleast_1d(as_complex_array(xi))
     if h <= 0:
         raise StepSizeError(f"step length h = {h} must be positive")
@@ -80,7 +72,8 @@ def build_unitary(xi, h: float) -> WalkStep:
     u[0, 1:] = -np.conjugate(s_h)
     u[1:, 0] = s_h
     u[1:, 1:] = c_h * q + (np.eye(p) - q)
-    return WalkStep(c_h=c_h, unitary=u)
+    u.setflags(write=False)
+    return u
 
 
 def _char_oplus_pi(triple: ImplementingTriple, chi) -> np.ndarray:
@@ -104,7 +97,7 @@ def _embedding(triple: ImplementingTriple) -> np.ndarray:
 
 def _isometry(triple: ImplementingTriple, h: float) -> np.ndarray:
     """V = U diag(1, D), the isometry a walk step of length h compresses by."""
-    return build_unitary(triple.xi, h).unitary @ _embedding(triple)
+    return build_unitary(triple.xi, h) @ _embedding(triple)
 
 
 def build_walk(triple: ImplementingTriple, chi, h: float) -> OperatorMap:
@@ -133,39 +126,36 @@ def gap_map(phi: OperatorMap, triple: ImplementingTriple, chi, h: float) -> Oper
 def error_terms(triple: ImplementingTriple, chi) -> tuple[OperatorMap, OperatorMap]:
     """The exact first- and second-order terms (phi_1, phi_2) of the expansion.
 
-    Unitary case (D absent), with X = |xi><xi| and gamma = <xi, nu(.) xi>:
+    With V_0 = [xi, D], eta = D* xi and Y = xi [0, eta*] (p x (d+1), its
+    first column zero), both are compressions of nu:
 
-        phi_1 = [[0, gamma <xi|], [gamma |xi>, X nu + nu X]],
-        phi_2 = gamma(.) diag(0, X).
+        phi_1 = V_0* nu(.) Y + Y* nu(.) V_0,    phi_2 = Y* nu(.) Y.
 
-    With an isometry D both terms are compressed by C = diag(1, D), giving
-    eta = D* xi, Y = |xi><eta|, phi_1 = [[0, gamma <eta|], [gamma |eta>,
-    Y* nu D + D* nu Y]] and phi_2 = gamma(.) diag(0, eta eta*).
+    Both cross terms are formed: (V_0* nu(b) Y)* = Y* nu(b)* V_0 equals
+    Y* nu(b) V_0 only when nu(b) is Hermitian, which fails for a basis
+    element that is not self-adjoint.
+
+    Without D (D = I) this is phi_1 = [[0, gamma <xi|], [gamma |xi>,
+    X nu + nu X]] and phi_2 = gamma(.) diag(0, X), where X = |xi><xi|
+    and gamma = <xi, nu(.) xi>.
     """
     nu = triple.nu_mats(chi)
-    xi = triple.xi
-    n, p = nu.shape[0], triple.rep_dim
-    gamma = np.einsum("a,iab,b->i", np.conjugate(xi), nu, xi)
-    x = np.outer(xi, np.conjugate(xi))
-    phi1 = np.zeros((n, p + 1, p + 1), dtype=complex)
-    phi1[:, 1:, 0] = gamma[:, None] * xi[None, :]
-    phi1[:, 0, 1:] = gamma[:, None] * np.conjugate(xi)[None, :]
-    phi1[:, 1:, 1:] = x @ nu + nu @ x
-    phi2 = np.zeros((n, p + 1, p + 1), dtype=complex)
-    phi2[:, 1:, 1:] = gamma[:, None, None] * x[None, :, :]
-    embed = _embedding(triple)
-    return OperatorMap(triple.source, compress(phi1, embed)), OperatorMap(triple.source, compress(phi2, embed))
+    xi, d_mat = triple.xi, triple.isometry
+    v0 = np.concatenate([xi[:, None], d_mat], axis=1)
+    y = np.outer(xi, np.concatenate([[0.0], np.conjugate(dag(d_mat) @ xi)]))
+    phi1 = dag(v0) @ nu @ y + dag(y) @ nu @ v0
+    return OperatorMap(triple.source, phi1), OperatorMap(triple.source, compress(nu, y))
 
 
 def verify_error_identity(triple: ImplementingTriple, chi, h: float) -> float:
     """Residual of the exact expansion at step length h (max operator norm).
 
-    The larger of two residuals: gap_map against the block form of
-    error_terms, and the walk step build_walk returns against
+    The larger of two residuals: gap_map against the expansion
+    h/(1+c_h) phi_1 - h^2/(1+c_h)^2 phi_2 of error_terms, and the walk step build_walk returns against
     chi(.)I + V* diag(0, nu(.)) V.  The second is unscaled and ties the
     gap, which is built from V alone, to the walk a sweep runs.
     """
-    r = h / (1.0 + build_unitary(triple.xi, h).c_h)
+    r = h / (1.0 + build_unitary(triple.xi, h)[0, 0].real)
     phi1, phi2 = error_terms(triple, chi)
     expansion = gap_map(structure_map_from_pair(triple, chi), triple, chi, h).distance(r * phi1 - r**2 * phi2)
     chi_part = build_walk(triple, chi, h).mats - compress(triple.nu_mats(chi), _isometry(triple, h)[1:])
@@ -182,9 +172,8 @@ def vector_state_check(triple: ImplementingTriple, chi, h: float) -> tuple[float
     """
     if triple.D is not None:
         raise ValueError("vector_state_check applies to the D-absent walk")
-    step = build_unitary(triple.xi, h)
     rho = build_walk(triple, chi, h)
-    omega = step.unitary[:, 0]
+    omega = build_unitary(triple.xi, h)[:, 0]
     big = _char_oplus_pi(triple, chi)
     top_left = rho.mats[:, 0, 0]
     via_omega = np.einsum("a,iab,b->i", np.conjugate(omega), big, omega)

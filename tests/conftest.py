@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,16 @@ from qwalklab import (
 )
 from qwalklab.experiment import _demo_payload
 from qwalklab.groups import cyclic_character_table, symmetric_sign_character
+
+#: the checkout's src: pytest puts it on sys.path (pyproject's pythonpath), but a child interpreter does not inherit that
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def with_src(env=None) -> dict:
+    """env (default os.environ) with the checkout's src first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

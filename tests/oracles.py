@@ -78,6 +78,35 @@ def cp_generator_blocks(pi, xi, d_mat, chi):
     return out
 
 
+def error_term_blocks(pi, xi, d_mat, chi):
+    """(phi_1, phi_2) of the walk's error expansion, entry by entry from their block forms.
+
+    With eta = D* xi, gamma = <xi, nu(b) xi> and Y = |xi><eta|:
+    phi_1 = [[0, gamma <eta|], [gamma |eta>, Y* nu D + D* nu Y]] and
+    phi_2 = gamma diag(0, eta eta*).
+    """
+    n, p, _ = pi.shape
+    d = d_mat.shape[1]
+    eta = [sum(np.conjugate(d_mat[a, c]) * xi[a] for a in range(p)) for c in range(d)]
+    phi1 = np.zeros((n, d + 1, d + 1), dtype=complex)
+    phi2 = np.zeros((n, d + 1, d + 1), dtype=complex)
+    for i in range(n):
+        nu = pi[i] - chi[i] * np.eye(p)
+        gamma = sum(np.conjugate(xi[a]) * nu[a, b] * xi[b] for a in range(p) for b in range(p))
+        for r in range(d):
+            phi1[i, 0, 1 + r] = gamma * np.conjugate(eta[r])
+            phi1[i, 1 + r, 0] = gamma * eta[r]
+            for c in range(d):
+                acc = 0.0 + 0.0j
+                for a in range(p):
+                    for b in range(p):
+                        acc += eta[r] * np.conjugate(xi[a]) * nu[a, b] * d_mat[b, c]
+                        acc += np.conjugate(d_mat[a, r]) * nu[a, b] * xi[b] * np.conjugate(eta[c])
+                phi1[i, 1 + r, 1 + c] = acc
+                phi2[i, 1 + r, 1 + c] = gamma * eta[r] * np.conjugate(eta[c])
+    return phi1, phi2
+
+
 def convolve_maps(coproduct, f_vals, g_vals):
     """(f * g)(b_i) = sum_jk Delta_i^{jk} f(b_j) kron g(b_k), by loops."""
     n = coproduct.shape[0]
@@ -118,28 +147,28 @@ def walk_unitary(xi, h):
     return u
 
 
-def step_hat_vectors(f, grid):
-    """Rows (1, h^{1/2} f_j) for cells j = 1..n, f_j the value of f at the cell's midpoint."""
-    out = np.empty((grid.n, f.noise_dim + 1), dtype=complex)
-    for j in range(grid.n):
+def step_hat_vectors(f, h, n):
+    """Rows (1, h^{1/2} f_j) for cells j = 1..n of width h, f_j the value of f at the cell's midpoint."""
+    out = np.empty((n, f.noise_dim + 1), dtype=complex)
+    for j in range(n):
         out[j, 0] = 1.0
-        out[j, 1:] = np.sqrt(grid.h) * f.value_at(j * grid.h + 0.5 * grid.h)
+        out[j, 1:] = np.sqrt(h) * f.value_at(j * h + 0.5 * h)
     return out
 
 
-def toy_matrix_element(a_matrix, f, g, grid):
+def toy_matrix_element(a_matrix, f, g, h, n):
     """<eps(f), (D A D* (x) I) eps(g)> with an explicit Kronecker product per cell.
 
-    D embeds the n hat-space factors onto the first n cells of the grid;
+    D embeds the n hat-space factors onto the first n cells of width h;
     beyond the horizon the exponential vectors contribute the scalar tail
     exp(integral_{nh} <f, g>).
     """
     lhs = np.array([1.0 + 0.0j])
     rhs = np.array([1.0 + 0.0j])
-    for u, v in zip(step_hat_vectors(f, grid), step_hat_vectors(g, grid)):
+    for u, v in zip(step_hat_vectors(f, h, n), step_hat_vectors(g, h, n)):
         lhs = np.kron(lhs, u)
         rhs = np.kron(rhs, v)
-    return complex(np.vdot(lhs, a_matrix @ rhs) * np.exp(f.overlap(g, a=grid.horizon)))
+    return complex(np.vdot(lhs, a_matrix @ rhs) * np.exp(f.overlap(g, a=n * h)))
 
 
 def functional_transfer_matrix(coproduct, psi_vec):

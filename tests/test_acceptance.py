@@ -89,7 +89,7 @@ def test_criterion_3_walk_step_identities(
     worst_unit, worst_ident, worst_state = 0.0, 0.0, 0.0
     for b, triple in cases:
         for h in scaled([0.5, 0.1, 0.01], triple.xi):
-            u = build_unitary(triple.xi, h).unitary
+            u = build_unitary(triple.xi, h)
             eye = np.eye(u.shape[0])
             worst_unit = max(worst_unit, float(np.max(np.abs(u.conj().T @ u - eye))))
             worst_ident = max(worst_ident, verify_error_identity(triple, b.counit, h))
@@ -116,7 +116,7 @@ def test_criterion_4_generator_convergence(
         gaps = []
         for h in DYADIC_H:
             gap = amplified_norm(gap_map(phi, triple, b.counit, h))
-            c_h = build_unitary(triple.xi, h).c_h
+            c_h = build_unitary(triple.xi, h)[0, 0].real
             r = h / (1.0 + c_h)
             bound = r * n1 + r**2 * n2
             ok = ok and gap <= bound * (1.0 + 1e-9)

@@ -47,13 +47,13 @@ def test_expectation_is_idempotent(c_s3):
     assert np.max(np.abs(hs_expectation(rep, ex) - ex)) < 1e-11
 
 
-@pytest.mark.parametrize("extra", [0, 2])
-def test_matmul_contraction_matches_two_einsum_reference(all_bialgebras, extra):
+@pytest.mark.parametrize("k", [2, 4])
+def test_matmul_contraction_matches_two_einsum_reference(all_bialgebras, k):
     rng = np.random.default_rng(13)
     for b in all_bialgebras:
-        theta = random_map(rng, b)
-        amap = AmplifiedMap(theta, theta.dim + extra)
-        n, out = amap.rep_dim * amap.amp, theta.dim * amap.amp
+        theta = random_map(rng, b, k)
+        amap = AmplifiedMap(theta)
+        n, out = amap.rep_dim * k, k * k
         x = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
         want = apply_amplified(theta.mats, dual_basis(b.block_rep), x)
         assert np.max(np.abs(amap.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
@@ -66,20 +66,20 @@ def test_matmul_contraction_matches_two_einsum_reference(all_bialgebras, extra):
 
 
 def test_frame_is_reused_only_under_the_same_key(monkeypatch, group_s3, c_s3, group_z2):
-    # each call changes the bialgebra or amp against the call before, so
-    # each builds one frame; the copy of C[S3] equals group_s3 field by
-    # field but is a new object, so it is a new key
+    # each call changes the bialgebra or the target dimension K against the
+    # call before, so each builds one frame; the copy of C[S3] equals
+    # group_s3 field by field but is a new object, so it is a new key
     built = count_calls(monkeypatch, cbnorm, "standard_normal")
     copy = build_group_algebra(symmetric_group(3), extra_characters=[symmetric_sign_character(3)])
     rng = np.random.default_rng(17)
-    thetas = {id(b): random_map(rng, b) for b in (group_s3, c_s3, group_z2, copy)}
+    thetas = {(id(b), k): random_map(rng, b, k) for b in (group_s3, c_s3, group_z2, copy) for k in (2, 4)}
     order = [(group_s3, 2), (group_s3, 4), (c_s3, 4), (c_s3, 2), (group_z2, 2), (group_z2, 4), (group_s3, 4), (copy, 4), (copy, 2)]
     cbnorm._frame.cache_clear()
-    got = [amplified_norm(thetas[id(b)], amp) for b, amp in order]
+    got = [amplified_norm(thetas[id(b), k]) for b, k in order]
     assert len(built) == len(order)
-    for (b, amp), value in zip(order, got):
+    for (b, k), value in zip(order, got):
         cbnorm._frame.cache_clear()
-        assert value == amplified_norm(thetas[id(b)], amp)
+        assert value == amplified_norm(thetas[id(b), k])
     for arr in cbnorm._frame(copy, 2):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
@@ -149,9 +149,12 @@ def test_sampled_bound_never_exceeds_surrogate(group_s3, s3_regular_triple):
 
 
 def test_amplification_beyond_target_dim_adds_nothing(c_z2, c_z2_eval_triple):
+    # phi (+) 0 into M_{K+2} has phi's cb norm and is amplified to K + 2
     phi = structure_map_from_pair(c_z2_eval_triple, c_z2.counit)
     base = amplified_norm(phi)
-    more = amplified_norm(phi, amp=phi.dim + 2)
+    padded = np.zeros((c_z2.dim, phi.dim + 2, phi.dim + 2), dtype=complex)
+    padded[:, : phi.dim, : phi.dim] = phi.mats
+    more = amplified_norm(OperatorMap(c_z2, padded))
     assert more <= base * (1.0 + 1e-9)
     assert more >= base * (1.0 - 1e-9)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,12 @@ def test_assoc_generator_closed_form(group_z2, z2_phi):
         ]
     )
     assert np.max(np.abs(got - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("c, d", [([0.7, 0.1], [0.2]), ([0.7], [0.2, 0.1]), ([], [])])
+def test_assoc_generator_refuses_noise_vectors_of_the_wrong_length(z2_phi, c, d):
+    with pytest.raises(ValueError, match=re.escape("expected (1,)")):
+        assoc_generator(z2_phi, c, d)
 
 
 def test_time_zero_is_counit_times_gram(group_z2, z2_phi):

@@ -7,14 +7,9 @@ from qwalklab import (
     OperatorMap,
     build_walk,
     check_compatibility,
-    convolution_iterates,
-    convolve,
     convolve_functionals,
-    composition_iterates,
-    lift,
 )
-
-from qwalklab.convolution import MAX_LIFTED_ENTRIES
+from qwalklab.convolution import MAX_LIFTED_ENTRIES, _check_entries, _compatibility_iterates
 
 from .oracles import convolution_power, convolve_maps, functional_transfer_matrix
 
@@ -41,13 +36,6 @@ def test_counit_is_the_convolution_unit(all_bialgebras):
         assert np.max(np.abs(right - f)) < 1e-14
 
 
-def test_counit_is_the_unit_for_operator_maps(group_s3):
-    theta = random_map(group_s3, 2, 2)
-    eps = OperatorMap.from_functional(group_s3, group_s3.counit)
-    assert convolve(eps, theta).distance(theta) < 1e-13
-    assert convolve(theta, eps).distance(theta) < 1e-13
-
-
 def test_functional_convolution_is_associative(all_bialgebras):
     for b in all_bialgebras:
         f, g, k = (random_functional(b, s) for s in (3, 4, 5))
@@ -56,31 +44,11 @@ def test_functional_convolution_is_associative(all_bialgebras):
         assert np.max(np.abs(left - right)) < 1e-12
 
 
-def test_operator_convolution_matches_kron_oracle(c_s3):
-    f = random_map(c_s3, 2, 6)
-    g = random_map(c_s3, 3, 7)
-    got = convolve(f, g)
-    expected = convolve_maps(c_s3.coproduct, f.mats, g.mats)
-    assert got.dim == 6
-    assert np.max(np.abs(got.mats - expected)) < 1e-13
-
-
-def test_iterates_match_power_oracle(group_s3):
-    psi = random_functional(group_s3, 8)
-    psi_map = OperatorMap.from_functional(group_s3, psi)
-    for m in (0, 1, 2, 3):
-        got = convolution_iterates(psi_map, m).mats[:, 0, 0]
-        expected = convolution_power(
-            group_s3.coproduct, group_s3.counit, psi.reshape(-1, 1, 1), m
-        )
-        assert np.max(np.abs(got - expected[:, 0, 0])) < 1e-12
-
-
 def test_iterate_additivity(c_z2, z2_sign_triple, group_z2):
     psi = build_walk(z2_sign_triple, group_z2.counit, 0.2)
-    five = convolution_iterates(psi, 5)
-    split = convolve(convolution_iterates(psi, 2), convolution_iterates(psi, 3))
-    assert five.distance(split) < ITERATE_TOL
+    five = _compatibility_iterates(psi, 5)[1]
+    split = convolve_maps(group_z2.coproduct, _compatibility_iterates(psi, 2)[1], _compatibility_iterates(psi, 3)[1])
+    assert np.max(np.abs(five - split)) < ITERATE_TOL
 
 
 def test_grouplike_convolution_is_pointwise(group_s3):
@@ -103,43 +71,56 @@ def test_function_algebra_convolution_is_group_convolution(c_z2, z2):
     assert np.max(np.abs(got - expected)) < 1e-14
 
 
-def test_convolve_rejects_mismatched_sources(c_z2, group_s3):
-    f = random_map(c_z2, 2, 11)
-    g = random_map(group_s3, 2, 12)
-    with pytest.raises(ValueError):
-        convolve(f, g)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_both_iterates_match_the_kron_power_oracle(all_bialgebras, k):
+    # psi^{*1} = psi on both routes: eps is the convolution unit, and applying it to the lift gives psi back
+    for b in all_bialgebras:
+        psi = random_map(b, k, 19)
+        for n in range(4):
+            composed, convolved = _compatibility_iterates(psi, n)
+            expected = convolution_power(b.coproduct, b.counit, psi.mats, n)
+            scale = max(1.0, np.max(np.abs(expected)))
+            assert np.max(np.abs(composed - expected)) < 1e-13 * scale
+            assert np.max(np.abs(convolved - expected)) < 1e-13 * scale
+            if n == 1:
+                assert np.max(np.abs(composed - psi.mats)) < 1e-13
+                assert np.array_equal(convolved, psi.mats)
 
 
-def test_dimension_cap(group_z2, monkeypatch):
-    # psi^{*13} would hold 2 (2^13)^2 = 2^27 entries, and wide * wide 2 (64^2)^2 = 2^25; both are
+def test_compatibility_convention_on_random_maps(all_bialgebras):
+    for b in all_bialgebras:
+        for k in (1, 2):
+            psi = random_map(b, k, 20 + k)
+            for n in range(4):
+                assert check_compatibility(psi, n) <= ITERATE_TOL
+
+
+@pytest.mark.parametrize("depth", [12, 13])
+def test_entry_bound_refuses_before_einsum(group_z2, monkeypatch, depth):
+    # the lift Psi^{o 12} would hold 2^2 (2^12)^2 = 2^26 entries, Psi^{o 13} 2^28: each is
     # refused before einsum builds anything
     def unreachable(*args, **kwargs):
         pytest.fail("einsum ran before the entry count was checked")
 
     psi = random_map(group_z2, 2, 13)
-    wide = random_map(group_z2, 64, 16)
-    assert group_z2.dim * (wide.dim * wide.dim) ** 2 > MAX_LIFTED_ENTRIES
+    assert group_z2.dim**2 * 2 ** (2 * depth) > MAX_LIFTED_ENTRIES
     monkeypatch.setattr(np, "einsum", unreachable)
-    with pytest.raises(DimensionCapExceeded):
-        convolution_iterates(psi, 13)
-    with pytest.raises(DimensionCapExceeded):
-        convolve(wide, wide)
+    with pytest.raises(DimensionCapExceeded, match=f"4 x 2\\^{2 * depth} complex entries"):
+        check_compatibility(psi, depth)
 
 
-def test_lifted_iterate_bound(group_z2):
-    # the lift Psi^{o 12} would hold 2^2 (2^12)^2 = 2^26 entries; both calls refuse before
-    # allocating anything
-    psi = random_map(group_z2, 2, 13)
-    assert group_z2.dim**2 * 2 ** (2 * 12) > MAX_LIFTED_ENTRIES
+def test_entry_bound_edge():
+    # dim(B)^2 K^(2n) = 4 * 2^22 = 2^24 is the largest lift allowed
+    _check_entries(4, 2, 11)
     with pytest.raises(DimensionCapExceeded):
-        composition_iterates(lift(psi), 12)
+        _check_entries(4, 2, 12)
     with pytest.raises(DimensionCapExceeded):
-        check_compatibility(psi, 12)
+        _check_entries(1, 2, 10**6)
 
 
-def test_lift_counit_contract_roundtrip(group_s3):
-    psi = random_map(group_s3, 2, 14)
-    assert lift(psi).counit_contract().distance(psi) < 1e-13
+def test_negative_depth_is_refused(group_z2):
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_compatibility(random_map(group_z2, 2, 13), -1)
 
 
 def test_composition_matches_convolution(group_z2, z2_sign_triple):

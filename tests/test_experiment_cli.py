@@ -26,6 +26,8 @@ from qwalklab.fock import step_function_from_payload
 from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
 
+from .conftest import with_src
+
 
 def base_payload(**over):
     payload = {
@@ -447,6 +449,19 @@ def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, fiel
     assert repr(field) in err
 
 
+@pytest.mark.parametrize("demo, p", [("group-z2", 1), ("group-s3", 6)])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_isometry_without_columns_exits_two_naming_it(tmp_path, capsys, command, demo, p):
+    # a p x 0 isometry keeps no noise direction
+    payload = copy.deepcopy(_demo_payload(demo))
+    payload["triple"]["D"] = [[]] * p
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    expected = f"error: invalid 'triple': D has shape ({p}, 0), expected ({p}, d) with d >= 1\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "report.json").exists()
+
+
 def _sweep_of_shape(pairs: int, times: int, probes: int, count: int) -> dict:
     """The group-z2 demo config with its pairs repeated, and the given numbers of sample times, probes and steps."""
     payload = copy.deepcopy(_demo_payload("group-z2"))
@@ -748,7 +763,7 @@ def test_python_dash_m_entry_point(tmp_path):
         [sys.executable, "-m", "qwalklab", "verify", "--config", str(path), "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, QWALKLAB_LOG_LEVEL="INFO"),
+        env=with_src(dict(os.environ, QWALKLAB_LOG_LEVEL="INFO")),
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
@@ -796,7 +811,7 @@ def test_cli_import_leaves_scipy_out(tmp_path, capsys):
             f"print({count}, os.environ.get('OPENBLAS_NUM_THREADS'))"
         )
         case_env = env if blas_threads is None else dict(env, OPENBLAS_NUM_THREADS=blas_threads)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=case_env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=with_src(case_env))
         assert proc.returncode == 0, proc.stderr
         *_, settings, threading = proc.stdout.splitlines()
         assert settings == f"0 {program} {int(program)} []", entry

@@ -4,17 +4,15 @@ import pytest
 import qwalklab.fock as fock
 from qwalklab import (
     FormatError,
-    GridSpec,
     PartitionMismatch,
     StepFunction,
     build_walk,
-    convolution_iterates,
     step_function_from_payload,
     step_function_to_payload,
     walk_matrix_element,
 )
 
-from .oracles import step_hat_vectors, toy_matrix_element
+from .oracles import convolution_power, step_hat_vectors, toy_matrix_element
 from .test_structure_maps import two_character_triple
 
 
@@ -59,19 +57,20 @@ def test_exponential_inner_product():
     assert abs(f.exponential_inner(g) - np.exp(f.overlap(g))) < 1e-14
 
 
-def test_grid_from_time_floor_convention():
-    assert GridSpec.from_time(1.0, 0.25).n == 4
-    assert GridSpec.from_time(0.9999999999, 0.25).n == 4
-    assert GridSpec.from_time(0.9, 0.25).n == 3
-    assert GridSpec.from_time(0.2, 0.25).n == 0
-    with pytest.raises(ValueError):
-        GridSpec.from_time(1.0, 0.0)
+def test_cell_count_floor_convention():
+    assert fock._cell_count(1.0, 0.25) == 4
+    assert fock._cell_count(0.9999999999, 0.25) == 4
+    assert fock._cell_count(0.9, 0.25) == 3
+    assert fock._cell_count(0.2, 0.25) == 0
+    with pytest.raises(ValueError, match="h must be positive"):
+        fock._cell_count(1.0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fock._cell_count(-0.5, 0.25)
 
 
 def test_step_hat_vectors_closed_form():
     f = two_piece()
-    grid = GridSpec(h=0.25, n=4)
-    u = step_hat_vectors(f, grid)
+    u = step_hat_vectors(f, 0.25, 4)
     root = np.sqrt(0.25)
     expected = np.array(
         [[1, root * 1.0], [1, root * 1.0], [1, root * (0.6 - 0.3j)], [1, root * (0.6 - 0.3j)]]
@@ -92,8 +91,7 @@ def test_partition_mismatch_raises(group_z2, z2_sign_triple):
 def test_identity_matrix_element_is_euler_product():
     f = two_piece()
     g = StepFunction.constant([0.8 + 0.2j], 1.5)
-    grid = GridSpec(h=0.25, n=4)
-    got = toy_matrix_element(np.eye(2**4), f, g, grid)
+    got = toy_matrix_element(np.eye(2**4), f, g, 0.25, 4)
     prod = 1.0 + 0.0j
     for j in range(1, 5):
         mid = (j - 0.5) * 0.25
@@ -116,13 +114,13 @@ def test_walk_element_matches_materialized_route(group_z2, z2_sign_triple, c_s3)
         ),
         (two_character_triple(c_s3, 1, 3, [0.5j, -0.6]), s3_f, two_piece(noise_dim=2), s3_probes),
     )
-    grid = GridSpec(h=0.25, n=4)
     for triple, f, g, probes in cases:
-        psi = build_walk(triple, triple.source.counit, 0.25)
-        iterates = convolution_iterates(psi, 4)
+        b = triple.source
+        psi = build_walk(triple, b.counit, 0.25)
+        iterates = convolution_power(b.coproduct, b.counit, psi.mats, 4)
         for coeffs in probes:
-            a = np.einsum("i,iab->ab", coeffs, iterates.mats)
-            direct = toy_matrix_element(a, f, g, grid)
+            a = np.einsum("i,iab->ab", coeffs, iterates)
+            direct = toy_matrix_element(a, f, g, 0.25, 4)
             factored = walk_matrix_element(psi, coeffs, f, g, 1.0, 0.25)
             assert abs(direct - factored) < 1e-12
 

@@ -1,10 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalklab import (
-    HatSpace,
     ImplementingTriple,
     NotStructureMapError,
     OperatorMap,
@@ -13,7 +14,7 @@ from qwalklab import (
     verify_cp_decomposition,
     verify_structure_relation,
 )
-from qwalklab.structure_maps import cp_block_matrix, default_decomposition_vector
+from qwalklab.structure_maps import cp_block_matrix, default_decomposition_vector, hat
 
 from .oracles import cp_generator_blocks, structure_map_blocks
 
@@ -46,12 +47,10 @@ def triples_for(b):
     ]
 
 
-def test_hat_space_basics():
-    hat = HatSpace(3)
-    assert hat.dim == 4
-    assert np.array_equal(hat.e0, [1, 0, 0, 0])
-    assert np.array_equal(np.diag(hat.qs_projection), [0, 1, 1, 1])
-    assert np.array_equal(hat.hat([2j, 1, 0]), [1, 2j, 1, 0])
+def test_hat_lifting():
+    assert np.array_equal(hat([2j, 1, 0]), [1, 2j, 1, 0])
+    assert np.array_equal(hat(0.5), [1, 0.5])
+    assert hat([1]).dtype == complex
 
 
 def test_structure_relation_for_three_triples_per_bialgebra(all_bialgebras):
@@ -140,6 +139,13 @@ def test_validate_rejects_non_finite_isometry(group_z2):
     triple = ImplementingTriple(source=group_z2, pi=group_z2.rep, xi=np.array([0.5, 0.1]), D=d_mat)
     with pytest.raises(ValueError, match="isometry"):
         triple.validate()
+
+
+@pytest.mark.parametrize("d_mat", [np.zeros((2, 0)), [[]], []], ids=["2x0", "nested-empty", "empty"])
+def test_triple_refuses_an_isometry_without_columns(group_z2, d_mat):
+    shape = np.atleast_2d(np.asarray(d_mat)).shape
+    with pytest.raises(ValueError, match=re.escape(f"D has shape {shape}, expected (2, d) with d >= 1")):
+        ImplementingTriple(source=group_z2, pi=group_z2.rep, xi=np.array([0.5, 0.1]), D=d_mat)
 
 
 def test_cp_generator_matches_loop_oracle(group_s3, s3_cp_triple):

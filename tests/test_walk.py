@@ -10,6 +10,7 @@ from qwalklab import (
     StepSizeError,
     build_unitary,
     build_walk,
+    error_terms,
     structure_map_from_pair,
     verify_error_identity,
     vector_state_check,
@@ -18,7 +19,7 @@ from qwalklab.experiment import TOLERANCES
 from qwalklab.linalg import compress, dag, opnorms
 from qwalklab.walk import gap_map
 
-from .oracles import cp_generator_blocks, structure_map_blocks, walk_unitary
+from .oracles import cp_generator_blocks, error_term_blocks, structure_map_blocks, walk_unitary
 
 IDENTITY_TOL = 1e-11
 UNITARITY_TOL = 1e-13
@@ -26,17 +27,16 @@ UNITARITY_TOL = 1e-13
 
 def test_z2_step_arithmetic():
     # h ||xi||^2 = 0.36: the rotation has cosine 0.8 and sine 0.6
-    step = build_unitary([1.0], 0.36)
-    assert abs(step.c_h - 0.8) < 1e-15
-    assert abs(step.unitary[1, 0] - 0.6) < 1e-15
-    assert abs(step.c_h - 1.0 + 0.2) < 1e-15
-    assert np.allclose(step.unitary, [[0.8, -0.6], [0.6, 0.8]], atol=1e-15)
+    u = build_unitary([1.0], 0.36)
+    assert abs(u[0, 0] - 0.8) < 1e-15
+    assert abs(u[1, 0] - 0.6) < 1e-15
+    assert abs(u[0, 0] - 1.0 + 0.2) < 1e-15
+    assert np.allclose(u, [[0.8, -0.6], [0.6, 0.8]], atol=1e-15)
 
 
 def test_unitary_matches_loop_oracle():
     xi = np.array([0.4 - 0.3j, 0.2, 0.5j])
-    step = build_unitary(xi, 0.7)
-    assert np.max(np.abs(step.unitary - walk_unitary(xi, 0.7))) < 1e-14
+    assert np.max(np.abs(build_unitary(xi, 0.7) - walk_unitary(xi, 0.7))) < 1e-14
 
 
 def test_unitarity_across_parameters():
@@ -45,19 +45,19 @@ def test_unitarity_across_parameters():
         xi = rng.standard_normal(p) + 1j * rng.standard_normal(p)
         cap = 1.0 / np.vdot(xi, xi).real
         for h in (0.9 * cap, 0.25 * cap, 0.003 * cap):
-            u = build_unitary(xi, h).unitary
+            u = build_unitary(xi, h)
             assert np.max(np.abs(u.conj().T @ u - np.eye(p + 1))) < UNITARITY_TOL
 
 
 def test_zero_xi_gives_identity():
-    step = build_unitary(np.zeros(4), 0.25)
-    assert np.array_equal(step.unitary, np.eye(5))
-    assert step.c_h == 1.0
+    u = build_unitary(np.zeros(4), 0.25)
+    assert np.array_equal(u, np.eye(5))
+    assert u[0, 0] == 1.0
 
 
 def test_boundary_step_is_allowed():
     # h ||xi||^2 = 1 exactly: cosine 0, still unitary
-    u = build_unitary([2.0], 0.25).unitary
+    u = build_unitary([2.0], 0.25)
     assert abs(u[0, 0]) < 1e-15
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < UNITARITY_TOL
 
@@ -71,10 +71,10 @@ def test_oversize_step_rejected():
         build_unitary([1.0], -0.1)
 
 
-def test_walk_step_is_readonly():
-    step = build_unitary([1.0], 0.1)
+def test_unitary_is_readonly():
+    u = build_unitary([1.0], 0.1)
     with pytest.raises(ValueError):
-        step.unitary[0, 0] = 2.0
+        u[0, 0] = 2.0
 
 
 def admissible_hs(xi):
@@ -158,6 +158,18 @@ def test_unified_paths_match_loop_oracle(request, case):
     assert np.max(np.abs(psi.mats - expected_walk)) < 1e-13
 
 
+@pytest.mark.parametrize("case", ["absent", "identity", "rank1", "rank2"])
+def test_error_terms_match_block_oracle(request, case):
+    # on C[S3] a basis element b_g with g^2 != e is not self-adjoint, so nu(b_g) is not
+    # Hermitian and the two cross terms of phi_1 are not each other's adjoints
+    triple, d_mat, _ = oracle_case(request, case)
+    for chi in (triple.source.counit, triple.source.characters[-1]):
+        phi1, phi2 = error_terms(triple, chi)
+        expected1, expected2 = error_term_blocks(triple.pi, triple.xi, d_mat, chi)
+        assert np.max(np.abs(phi1.mats - expected1)) < 1e-13
+        assert np.max(np.abs(phi2.mats - expected2)) < 1e-13
+
+
 def test_error_identity_rank_two_isometry(c_s3):
     triple = rank_two_triple(c_s3)
     assert not c_s3.is_cocommutative(1e-12)
@@ -215,7 +227,7 @@ def test_error_identity_reads_the_walk_step(request, monkeypatch, triple_name):
     # built from V alone, cannot see it, so only the unscaled link between
     # build_walk and V* diag(0, nu) V does
     def adjoint_step(triple, chi, h):
-        v = dag(build_unitary(triple.xi, h).unitary) @ walk._embedding(triple)
+        v = dag(build_unitary(triple.xi, h)) @ walk._embedding(triple)
         return OperatorMap(triple.source, compress(walk._char_oplus_pi(triple, chi), v))
 
     triple = request.getfixturevalue(triple_name)
@@ -246,8 +258,8 @@ def test_vector_state_rejects_cp_triple(group_s3, s3_cp_triple):
 def test_unitarity_and_identity_are_parameter_free(group_z2, scale, frac, phase):
     xi = np.array([scale * np.exp(1j * phase), 0.3 * scale])
     h = frac / float(np.real(np.vdot(xi, xi)))
-    step = build_unitary(xi, h)
+    u = build_unitary(xi, h)
     p = xi.shape[0]
-    assert np.max(np.abs(step.unitary.conj().T @ step.unitary - np.eye(p + 1))) < 1e-12
+    assert np.max(np.abs(u.conj().T @ u - np.eye(p + 1))) < 1e-12
     triple = ImplementingTriple(source=group_z2, pi=group_z2.rep, xi=xi)
     assert verify_error_identity(triple, group_z2.counit, h) < 1e-10
