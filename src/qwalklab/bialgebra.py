@@ -16,7 +16,7 @@ any check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +37,21 @@ __all__ = [
     "bialgebra_from_payload",
     "bialgebra_to_payload",
 ]
+
+#: the pass bar of every verify check, read where each check runs; a bialgebra file's axioms are checked to "axioms" as it loads
+TOLERANCES = {
+    "axioms": 1e-12,
+    "structure_relation": 1e-12,
+    "roundtrip": 1e-10,
+    "unitarity": 1e-13,
+    "error_identity": 1e-11,
+    "vector_state": 1e-12,
+    "homomorphism": 1e-12,
+    "preunital": 1e-14,
+    "choi": 1e-10,
+    "compatibility": 1e-11,
+    "semigroup": 1e-11,
+}
 
 #: order in which axioms are reported and in which the loader names failures
 # algebra axioms first, then the coalgebra ones, then their compatibility
@@ -134,11 +149,11 @@ class CounitalBialgebra:
         star = dag(mats) - np.einsum("ij,jab->iab", self.invol, mats)
         return products - images, star
 
-    def is_cocommutative(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1))) <= tol)
+    def is_cocommutative(self) -> bool:
+        return bool(np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1))) <= TOLERANCES["axioms"])
 
-    def is_commutative(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= tol)
+    def is_commutative(self) -> bool:
+        return bool(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= TOLERANCES["axioms"])
 
 
 def _irreducible_blocks(rep: np.ndarray) -> np.ndarray:
@@ -179,7 +194,8 @@ class BialgebraReport:
 
     residuals maps axiom name to the worst absolute defect; worst_index
     records where it occurred (leading index = basis element of the
-    defining relation).
+    defining relation).  The bar is TOLERANCES["axioms"], read when
+    first_failure is called.
     """
 
     residuals: dict[str, float]
@@ -187,20 +203,15 @@ class BialgebraReport:
     injectivity_sigma_min: float
     cocommutative: bool
     commutative: bool
-    tol: float = field(default=1e-12)
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    def ok(self, tol: float | None = None) -> bool:
-        tol = self.tol if tol is None else tol
-        return self.max_residual <= tol and self.injectivity_sigma_min > 1e-8
-
-    def first_failure(self, tol: float | None = None):
-        tol = self.tol if tol is None else tol
+    def first_failure(self):
+        """(axiom, worst index, residual) of the first axiom in AXIOM_ORDER over the bar, or None."""
         for axiom in AXIOM_ORDER:
-            if self.residuals[axiom] > tol:
+            if self.residuals[axiom] > TOLERANCES["axioms"]:
                 return axiom, self.worst_index[axiom], self.residuals[axiom]
         return None
 
@@ -222,8 +233,8 @@ def _worst(arr: np.ndarray) -> tuple[float, tuple]:
     return (float(flat[pos]) if flat.size else 0.0), tuple(int(x) for x in idx)
 
 
-def verify_bialgebra(b: CounitalBialgebra, tol: float = 1e-12) -> BialgebraReport:
-    """Run every axiom check on all basis tuples and report worst residuals."""
+def verify_bialgebra(b: CounitalBialgebra) -> BialgebraReport:
+    """Run every axiom check on all basis tuples and report worst residuals; (co)commutative to TOLERANCES["axioms"]."""
     m, s, u, c, e = b.mult, b.invol, b.unit, b.coproduct, b.counit
     n = b.dim
     eye = np.eye(n)
@@ -289,9 +300,8 @@ def verify_bialgebra(b: CounitalBialgebra, tol: float = 1e-12) -> BialgebraRepor
         residuals=residuals,
         worst_index=worst,
         injectivity_sigma_min=sigma_min,
-        cocommutative=b.is_cocommutative(tol),
-        commutative=b.is_commutative(tol),
-        tol=tol,
+        cocommutative=b.is_cocommutative(),
+        commutative=b.is_commutative(),
     )
 
 
@@ -413,8 +423,8 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
     return CounitalBialgebra(name=name, labels=labels, **fields)
 
 
-def load_bialgebra(path, tol: float = 1e-12) -> CounitalBialgebra:
-    """Load a bialgebra file and verify every axiom before returning it.
+def load_bialgebra(path) -> CounitalBialgebra:
+    """Load a bialgebra file and verify every axiom, to TOLERANCES["axioms"], before returning it.
 
     Raises FormatError for malformed data and AxiomViolation (naming the
     first failed axiom and its basis index) for well-formed data that is
@@ -423,8 +433,8 @@ def load_bialgebra(path, tol: float = 1e-12) -> CounitalBialgebra:
     from .serialize import read_json
 
     b = bialgebra_from_payload(read_json(path))
-    report = verify_bialgebra(b, tol=tol)
-    failure = report.first_failure(tol)
+    report = verify_bialgebra(b)
+    failure = report.first_failure()
     if failure is not None:
         raise AxiomViolation(*failure)
     if report.injectivity_sigma_min <= 1e-8:

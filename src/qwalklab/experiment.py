@@ -9,6 +9,7 @@ cocycle limit.
 """
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .bialgebra import (
+    TOLERANCES,
     CounitalBialgebra,
+    bialgebra_to_payload,
     build_function_algebra,
     build_group_algebra,
     load_bialgebra,
@@ -85,21 +88,6 @@ __all__ = [
 
 CSV_SCHEMA = "qwalklab-errors-v1"
 REPORT_SCHEMA = "qwalklab-report-v1"
-
-#: the pass bar of every verify check; a bialgebra file's axioms are checked to TOLERANCES["axioms"] as it loads
-TOLERANCES = {
-    "axioms": 1e-12,
-    "structure_relation": 1e-12,
-    "roundtrip": 1e-10,
-    "unitarity": 1e-13,
-    "error_identity": 1e-11,
-    "vector_state": 1e-12,
-    "homomorphism": 1e-12,
-    "preunital": 1e-14,
-    "choi": 1e-10,
-    "compatibility": 1e-11,
-    "semigroup": 1e-11,
-}
 
 
 #: the longest h ladder a sweep may ask for
@@ -303,7 +291,7 @@ def resolve_bialgebra(section, base_dir: Path) -> CounitalBialgebra:
         raise ConfigError("'bialgebra' needs a 'builtin' and a 'group', or a 'file' alone")
     if named == {"file"}:
         try:
-            return load_bialgebra(base_dir.joinpath(section["file"]), tol=TOLERANCES["axioms"])
+            return load_bialgebra(base_dir.joinpath(section["file"]))
         except FormatError as exc:
             raise ConfigError(f"invalid 'file' in 'bialgebra': {exc}") from exc
     try:
@@ -345,7 +333,7 @@ class ExperimentConfig:
             pi = b.characters[pi].reshape(-1, 1, 1)
         try:
             triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=cfg["triple"]["xi"], D=cfg["triple"]["D"])
-            triple.validate(tol=1e-10)
+            triple.validate()
         except ValueError as exc:
             raise ConfigError(f"invalid 'triple': {exc}") from exc
         noise_dim = triple.noise_dim
@@ -436,7 +424,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     b, chi, triple = config.bialgebra, config.chi, config.triple
     report: dict = {"schema": REPORT_SCHEMA, "label": config.label, "mode": "verify", "checks": {}}
 
-    ax = verify_bialgebra(b, tol=TOLERANCES["axioms"])
+    ax = verify_bialgebra(b)
     _check(
         report,
         "bialgebra_axioms",
@@ -449,7 +437,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     phi_big = structure_map_from_pair(plain, chi)
     _check(report, "structure_relation", verify_structure_relation(phi_big, chi), TOLERANCES["structure_relation"])
     try:
-        extraction = extract_implementing_pair(phi_big, chi, tol=TOLERANCES["roundtrip"])
+        extraction = extract_implementing_pair(phi_big, chi)
         roundtrip, extra = extraction.roundtrip_residual, {"kernel_dim": extraction.kernel_dim}
     except NotStructureMapError as exc:  # e.g. rounding at large ||xi||: a failed check, not a crash
         roundtrip, extra = exc.residual, {}
@@ -488,7 +476,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
 
     zeta = default_decomposition_vector(triple)
     phi = config.generator()
-    cp_rep = verify_cp_decomposition(phi, chi, zeta, tol=TOLERANCES["choi"])
+    cp_rep = verify_cp_decomposition(phi, chi, zeta)
     _check(
         report,
         "cp_decomposition",
@@ -682,26 +670,25 @@ def _s3_cp_triple_section() -> dict:
 
 
 def _demo_payload(name: str) -> dict:
+    """The named demo's config payload, sharing no object with this module or an earlier call."""
     if name not in DEMO_NAMES:
         raise ConfigError(f"unknown demo {name!r}; choose one of {', '.join(DEMO_NAMES)}")
-    return {
+    return copy.deepcopy({
         "label": name,
-        "bialgebra": dict(_DEMO_BIALGEBRAS[name]),
+        "bialgebra": _DEMO_BIALGEBRAS[name],
         "character": "counit",
         "triple": _s3_cp_triple_section() if name == "group-s3" else {"pi": "character:1", "xi": [[1.5, 0.0]]},
         "final_error_bound": 0.05,
         **_DEMO_COMMON,
-    }
+    })
 
 
 def write_demo(name: str, out_dir) -> Path:
-    """Write the named demo's config (and any data files) into out_dir."""
+    """Write the named demo's config (and any data files) into out_dir; an unknown name creates nothing."""
+    payload = _demo_payload(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = _demo_payload(name)
     if name == "custom-file":
-        from .bialgebra import bialgebra_to_payload
-
         b = build_group_algebra(symmetric_group(3), extra_characters=[symmetric_sign_character(3)])
         write_json(out_dir / "bialgebra.json", bialgebra_to_payload(b))
     config_path = out_dir / "config.json"

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bialgebra import CounitalBialgebra
+from .bialgebra import TOLERANCES, CounitalBialgebra
 from .linalg import as_complex_array, compress, dag, opnorm, opnorms, readonly
 
 __all__ = [
@@ -43,6 +43,11 @@ __all__ = [
     "verify_cp_decomposition",
     "cp_block_matrix",
 ]
+
+#: the bar on a triple's product, star and isometry residuals (ImplementingTriple.validate)
+TRIPLE_TOL = 1e-10
+#: the bar on the structure relation that extraction must pass before it reads off (pi, xi)
+RELATION_GATE = 1e-8
 
 
 class NotStructureMapError(ValueError):
@@ -132,7 +137,7 @@ class ImplementingTriple:
         object.__setattr__(self, "xi", xi)
         if self.D is not None:
             d_mat = readonly(np.atleast_2d(self.D))
-            if d_mat.shape[0] != p or d_mat.shape[1] == 0:
+            if d_mat.ndim != 2 or d_mat.shape[0] != p or d_mat.shape[1] == 0:
                 raise ValueError(f"D has shape {d_mat.shape}, expected ({p}, d) with d >= 1")
             object.__setattr__(self, "D", d_mat)
 
@@ -158,11 +163,12 @@ class ImplementingTriple:
         eye = np.eye(self.rep_dim, dtype=complex)
         return self.pi - chi[:, None, None] * eye[None, :, :]
 
-    def validate(self, tol: float = 1e-12) -> dict[str, float]:
+    def validate(self) -> dict[str, float]:
         """Residuals for pi being a unital *-homomorphism and D an isometry.
 
-        Raises on product/star/isometry failures; unitality is reported
-        but not enforced (non-unital pi is legal and makes phi(1) != 0).
+        Raises when a product, star or isometry residual exceeds TRIPLE_TOL;
+        unitality is reported but not enforced (non-unital pi is legal and
+        makes phi(1) != 0).
         """
         product, star = self.source.homomorphism_defects(self.pi)
         res = {
@@ -172,8 +178,8 @@ class ImplementingTriple:
             "isometry": float(np.max(np.abs(dag(self.isometry) @ self.isometry - np.eye(self.noise_dim)))),
         }
         for key in ("pi_product", "pi_star", "isometry"):
-            if not res[key] <= tol:  # also rejects NaN
-                raise ValueError(f"triple is invalid: {key} residual {res[key]:.3e} > {tol:g}")
+            if not res[key] <= TRIPLE_TOL:  # also rejects NaN
+                raise ValueError(f"triple is invalid: {key} residual {res[key]:.3e} > {TRIPLE_TOL:g}")
         return res
 
 
@@ -218,22 +224,23 @@ class ExtractionReport:
     underdetermined: bool
 
 
-def extract_implementing_pair(phi: OperatorMap, chi, tol: float = 1e-10) -> ExtractionReport:
+def extract_implementing_pair(phi: OperatorMap, chi) -> ExtractionReport:
     """Recover (pi, xi) from a structure map in block form.
 
     pi is read off the lower-right block; xi solves the stacked linear
     system nu(b_i) xi = lower-left column, taking the minimum-norm
     solution when the system has a kernel (phi is invariant under kernel
     shifts, so the round trip is exact either way).  Raises
-    NotStructureMapError if phi fails the structure relation or the
-    round trip.
+    NotStructureMapError if phi fails the structure relation (to
+    RELATION_GATE), the triple check (to TRIPLE_TOL) or the round trip
+    (to TOLERANCES["roundtrip"]).
     """
     b = phi.source
     chi = as_complex_array(chi)
     relation_residual = verify_structure_relation(phi, chi)
-    if relation_residual > max(tol, 1e-8):
+    if relation_residual > RELATION_GATE:
         raise NotStructureMapError(
-            f"structure relation residual {relation_residual:.3e} exceeds {max(tol, 1e-8):g}", relation_residual
+            f"structure relation residual {relation_residual:.3e} exceeds {RELATION_GATE:g}", relation_residual
         )
     n = b.dim
     p = phi.dim - 1
@@ -244,14 +251,14 @@ def extract_implementing_pair(phi: OperatorMap, chi, tol: float = 1e-10) -> Extr
     xi, _, rank, _ = np.linalg.lstsq(stacked, target, rcond=None)
     triple = ImplementingTriple(source=b, pi=pi, xi=xi)
     try:
-        triple.validate(tol=max(tol, 1e-10))
+        triple.validate()
     except ValueError as exc:
         raise NotStructureMapError(f"lower-right block is not a *-representation: {exc}", np.inf) from exc
     rebuilt = structure_map_from_pair(triple, chi)
     residual = rebuilt.distance(phi)
-    if residual > tol:
+    if residual > TOLERANCES["roundtrip"]:
         raise NotStructureMapError(
-            f"round-trip residual {residual:.3e} exceeds {tol:g}; "
+            f"round-trip residual {residual:.3e} exceeds {TOLERANCES['roundtrip']:g}; "
             "phi is not implemented by any (pi, xi)",
             residual,
         )
@@ -299,13 +306,12 @@ def cp_block_matrix(phi: OperatorMap) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
-def verify_cp_decomposition(
-    phi: OperatorMap, chi, zeta, tol: float = 1e-10
-) -> CPDecompositionReport:
+def verify_cp_decomposition(phi: OperatorMap, chi, zeta) -> CPDecompositionReport:
     """Check phi = phi1 - phi2 with phi2 = chi(.)(P + |zeta><e0| + |e0><zeta|).
 
     Reports the Choi-type positivity defect of phi1 and whether the
-    lifted map phi + chi(.)P is negative at the unit.
+    lifted map phi + chi(.)P is negative at the unit, both to
+    TOLERANCES["choi"].
     """
     b = phi.source
     chi = as_complex_array(chi)
@@ -323,10 +329,10 @@ def verify_cp_decomposition(
     phitilde_max = float(np.linalg.eigvalsh(_hermitized(phi.at_unit()))[-1])
     return CPDecompositionReport(
         cp_residual=max(0.0, -min_eig),
-        phi1_is_cp=min_eig >= -tol,
+        phi1_is_cp=min_eig >= -TOLERANCES["choi"],
         phi2_at_unit_min_eig=phi2_unit_min,
         phi_at_unit_max_eig=phitilde_max,
-        phitilde_one_negative=phitilde_max <= tol,
+        phitilde_one_negative=phitilde_max <= TOLERANCES["choi"],
     )
 
 

@@ -1,4 +1,3 @@
-import copy
 import gc
 import logging
 import math
@@ -428,6 +427,8 @@ MALFORMED_FIELDS = [
     ("probes", ("probes",), [1, 0, 1]),
     # 2 pairs x 43 times x 2 probes x 6 step lengths = 1032 walk evaluations; 42 times make 1008
     ("sweep", ("sample_times",), [k / 64 for k in range(22, 65)]),
+    # a D with a third axis passed the checks on its first two axes, then ended in an internal error
+    ("triple", ("triple", "D"), [[[[1.0, 0.0]]]]),
 ]
 
 
@@ -436,7 +437,7 @@ MALFORMED_FIELDS = [
 )
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, field, path, value):
-    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload = _demo_payload("group-z2")
     *parents, key = path
     section = payload
     for name in parents:
@@ -453,7 +454,7 @@ def test_cli_malformed_field_exits_two_naming_it(tmp_path, capsys, command, fiel
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_isometry_without_columns_exits_two_naming_it(tmp_path, capsys, command, demo, p):
     # a p x 0 isometry keeps no noise direction
-    payload = copy.deepcopy(_demo_payload(demo))
+    payload = _demo_payload(demo)
     payload["triple"]["D"] = [[]] * p
     config = write_config(tmp_path, payload)
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
@@ -464,7 +465,7 @@ def test_cli_isometry_without_columns_exits_two_naming_it(tmp_path, capsys, comm
 
 def _sweep_of_shape(pairs: int, times: int, probes: int, count: int) -> dict:
     """The group-z2 demo config with its pairs repeated, and the given numbers of sample times, probes and steps."""
-    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload = _demo_payload("group-z2")
     payload["step_function_pairs"] = (payload["step_function_pairs"] * pairs)[:pairs]
     payload["sample_times"] = [1.0 - k / 64 for k in range(times)]
     payload["probes"] = list(range(probes))
@@ -492,7 +493,7 @@ def test_sweep_one_past_the_work_bound_exits_two_naming_the_factors(tmp_path, ca
 
 def _with_segments(f: int, g: int) -> dict:
     """The group-z2 demo config with one pair whose f and g have the given numbers of equal segments."""
-    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload = _demo_payload("group-z2")
     payload["step_function_pairs"] = [
         {fn: [[1 / n, [1.0 - 0.5 * (k % 2), 0.0]] for k in range(n)] for fn, n in (("f", f), ("g", g))}
     ]
@@ -537,7 +538,7 @@ GENERATED_FIELDS = [
 
 def _with_field(section, key, value) -> dict:
     """The group-z2 demo config with section[key] (top level: key) set to value."""
-    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload = _demo_payload("group-z2")
     (payload if section is None else payload.setdefault(section, {}))[key] = value
     return payload
 
@@ -691,10 +692,28 @@ def test_cli_malformed_json_exits_two(tmp_path, capsys):
 
 
 def test_cli_unknown_demo_exits_two(capsys, tmp_path):
-    assert main(["demo", "nope", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "fresh"
+    assert main(["demo", "nope", "--out", str(out)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("error: unknown demo 'nope'")
     for name in DEMO_NAMES:
         assert name in err
+    assert not out.exists()
+
+
+def test_demo_payload_shares_nothing_between_calls(tmp_path):
+    edited = _demo_payload("group-z2")
+    edited["sweep"]["count"] = 2
+    edited["step_function_pairs"][0]["f"].clear()
+    edited["sample_times"].append(0.5)
+    edited["bialgebra"]["group"] = "z3"
+    fresh = _demo_payload("group-z2")
+    assert fresh["sweep"]["count"] == 6
+    assert fresh["step_function_pairs"][0]["f"] != []
+    assert fresh["sample_times"] == [1.0]
+    assert fresh["bialgebra"]["group"] == "z2"
+    config = ExperimentConfig.from_file(write_demo("group-s3", tmp_path))
+    assert len(config.h_values) == 6
 
 
 def test_cli_failing_bound_exits_one_but_writes_outputs(tmp_path, capsys):

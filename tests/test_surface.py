@@ -1,6 +1,7 @@
 """The public surface: the package's __all__ is a contract, shrunk only on purpose."""
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,35 @@ def test_retired_name_is_gone(name):
 def test_submodule_all_resolves(name):
     module = importlib.import_module(f"qwalklab.{name}")
     assert [entry for entry in module.__all__ if not hasattr(module, entry)] == []
+
+
+def _public_callables():
+    """Every function in a submodule's __all__, and every method (dataclass __init__ included) of an exported class."""
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"qwalklab.{module_name}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    member = getattr(member, "__func__", member)  # classmethods and staticmethods
+                    if inspect.isfunction(member):
+                        yield f"{module_name}.{name}.{attr}", member
+            elif inspect.isfunction(value):
+                yield f"{module_name}.{name}", value
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # every pass bar is read from TOLERANCES or a named gate when the check runs
+    taking = [name for name, fn in _public_callables() if "tol" in inspect.signature(fn).parameters]
+    assert taking == []
+
+
+def test_tolerances_are_one_table():
+    import qwalklab.bialgebra
+    import qwalklab.experiment
+
+    assert qwalklab.experiment.TOLERANCES is qwalklab.bialgebra.TOLERANCES
+    assert "TOLERANCES" in qwalklab.experiment.__all__
 
 
 def test_bare_import_loads_no_numpy_and_resolves_every_name():

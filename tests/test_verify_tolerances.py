@@ -1,6 +1,5 @@
 """The pass bars of verify: the fixed TOLERANCES table is the only bar a check reads, and no config sets one."""
 
-import copy
 import math
 
 import pytest
@@ -137,7 +136,7 @@ RETIRED = [
 
 
 def _with_retired(key, value) -> dict:
-    payload = copy.deepcopy(_demo_payload("group-z2"))
+    payload = _demo_payload("group-z2")
     payload[key] = value
     return payload
 
@@ -166,7 +165,7 @@ def test_retired_key_is_refused_before_the_bialgebra_is_built(tmp_path, monkeypa
 
 def test_cli_failed_extraction_on_a_cp_triple_is_a_failed_check(tmp_path, capsys):
     # the group-s3 demo (a triple with D) with its xi scaled to ||xi|| = 300: the round trip loses 1.7e-10 to rounding
-    payload = copy.deepcopy(_demo_payload("group-s3"))
+    payload = _demo_payload("group-s3")
     xi = payload["triple"]["xi"]
     scale = 300.0 / math.sqrt(sum(re * re + im * im for re, im in xi))
     payload["triple"]["xi"] = [[scale * re, scale * im] for re, im in xi]
