@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bialgebra": (
-        "AxiomViolation", "BialgebraReport", "CounitalBialgebra", "build_function_algebra",
-        "build_group_algebra", "load_bialgebra", "save_bialgebra", "verify_bialgebra",
+        "AxiomViolation", "CounitalBialgebra", "build_function_algebra", "build_group_algebra",
+        "load_bialgebra", "verify_bialgebra",
     ),
     "cbnorm": ("amplified_norm",),
     "cocycle": ("CocycleEvaluator", "assoc_generator"),
@@ -28,8 +28,7 @@ _EXPORTS = {
     ),
     "experiment": ("ConfigError", "ExperimentConfig", "run_sweep", "run_verify", "write_demo"),
     "fock": (
-        "PartitionMismatch", "StepFunction", "step_function_from_payload", "step_function_to_payload",
-        "walk_matrix_element",
+        "PartitionMismatch", "StepFunction", "step_function_from_payload", "walk_matrix_element",
     ),
     "groups": ("FiniteGroup", "GroupTableError", "cyclic_group", "symmetric_group"),
     "serialize": ("FormatError",),

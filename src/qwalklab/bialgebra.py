@@ -28,12 +28,10 @@ from .serialize import FormatError, decode_complex_array, encode_complex_array, 
 __all__ = [
     "AxiomViolation",
     "CounitalBialgebra",
-    "BialgebraReport",
     "verify_bialgebra",
     "build_function_algebra",
     "build_group_algebra",
     "load_bialgebra",
-    "save_bialgebra",
     "bialgebra_from_payload",
     "bialgebra_to_payload",
 ]
@@ -65,6 +63,10 @@ AXIOM_ORDER = (
     "characters",
     "representation",
 )
+
+#: the bar a bialgebra file's faithful_rep must clear: the smallest singular
+#: value of b_i -> rep[i], as a map from the basis into matrices, lies above it
+FAITHFUL_SIGMA_MIN = 1e-8
 
 #: relative tolerance that separates eigenvalues, singular values and
 #: characters when rep is split into irreducible blocks
@@ -188,58 +190,26 @@ def _irreducible_blocks(rep: np.ndarray) -> np.ndarray:
     return readonly(blocks * (owner[:, None] == owner[None, :]))
 
 
-@dataclass(frozen=True)
-class BialgebraReport:
-    """Residuals from the exhaustive axiom suite.
-
-    residuals maps axiom name to the worst absolute defect; worst_index
-    records where it occurred (leading index = basis element of the
-    defining relation).  The bar is TOLERANCES["axioms"], read when
-    first_failure is called.
-    """
-
-    residuals: dict[str, float]
-    worst_index: dict[str, tuple]
-    injectivity_sigma_min: float
-    cocommutative: bool
-    commutative: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    def first_failure(self):
-        """(axiom, worst index, residual) of the first axiom in AXIOM_ORDER over the bar, or None."""
-        for axiom in AXIOM_ORDER:
-            if self.residuals[axiom] > TOLERANCES["axioms"]:
-                return axiom, self.worst_index[axiom], self.residuals[axiom]
-        return None
-
-    def as_dict(self) -> dict:
-        return {
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "worst_index": {k: list(v) for k, v in self.worst_index.items()},
-            "max_residual": float(self.max_residual),
-            "injectivity_sigma_min": float(self.injectivity_sigma_min),
-            "cocommutative": self.cocommutative,
-            "commutative": self.commutative,
-        }
-
-
-def _worst(arr: np.ndarray) -> tuple[float, tuple]:
+def _worst(arr: np.ndarray) -> tuple[float, list]:
     flat = np.abs(arr).reshape(-1)
     pos = int(np.argmax(flat)) if flat.size else 0
     idx = np.unravel_index(pos, arr.shape) if arr.size else (0,)
-    return (float(flat[pos]) if flat.size else 0.0), tuple(int(x) for x in idx)
+    return (float(flat[pos]) if flat.size else 0.0), [int(x) for x in idx]
 
 
-def verify_bialgebra(b: CounitalBialgebra) -> BialgebraReport:
-    """Run every axiom check on all basis tuples and report worst residuals; (co)commutative to TOLERANCES["axioms"]."""
+def verify_bialgebra(b: CounitalBialgebra) -> dict:
+    """Run every axiom check on all basis tuples: the report entry of the worst residuals.
+
+    residuals maps each axiom to its worst absolute defect and worst_index
+    to where it occurred (leading index = basis element of the defining
+    relation); injectivity_sigma_min is the smallest singular value of
+    rep over the basis; (co)commutative is read to TOLERANCES["axioms"].
+    """
     m, s, u, c, e = b.mult, b.invol, b.unit, b.coproduct, b.counit
     n = b.dim
     eye = np.eye(n)
     residuals: dict[str, float] = {}
-    worst: dict[str, tuple] = {}
+    worst: dict[str, list] = {}
 
     def record(axiom: str, *arrays: np.ndarray):
         pairs = [_worst(a) for a in arrays]
@@ -296,13 +266,14 @@ def verify_bialgebra(b: CounitalBialgebra) -> BialgebraReport:
     sigma = np.linalg.svd(flat, compute_uv=False)
     sigma_min = float(sigma[-1]) if len(sigma) == n else 0.0
 
-    return BialgebraReport(
-        residuals=residuals,
-        worst_index=worst,
-        injectivity_sigma_min=sigma_min,
-        cocommutative=b.is_cocommutative(),
-        commutative=b.is_commutative(),
-    )
+    return {
+        "residuals": residuals,
+        "worst_index": worst,
+        "max_residual": max(residuals.values()),
+        "injectivity_sigma_min": sigma_min,
+        "cocommutative": b.is_cocommutative(),
+        "commutative": b.is_commutative(),
+    }
 
 
 def build_function_algebra(group: FiniteGroup) -> CounitalBialgebra:
@@ -426,23 +397,22 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
 def load_bialgebra(path) -> CounitalBialgebra:
     """Load a bialgebra file and verify every axiom, to TOLERANCES["axioms"], before returning it.
 
-    Raises FormatError for malformed data and AxiomViolation (naming the
-    first failed axiom and its basis index) for well-formed data that is
-    not a counital *-bialgebra.
+    Raises FormatError for malformed data or a faithful_rep that is not
+    faithful (its smallest singular value at most FAITHFUL_SIGMA_MIN), and
+    AxiomViolation (naming the first failed axiom in AXIOM_ORDER and its
+    basis index) for well-formed data that is not a counital *-bialgebra.
     """
     from .serialize import read_json
 
     b = bialgebra_from_payload(read_json(path))
     report = verify_bialgebra(b)
-    failure = report.first_failure()
-    if failure is not None:
-        raise AxiomViolation(*failure)
-    if report.injectivity_sigma_min <= 1e-8:
-        raise AxiomViolation("representation", (0,), 1.0)
+    for axiom in AXIOM_ORDER:
+        if report["residuals"][axiom] > TOLERANCES["axioms"]:
+            raise AxiomViolation(axiom, report["worst_index"][axiom], report["residuals"][axiom])
+    sigma_min = report["injectivity_sigma_min"]
+    if sigma_min <= FAITHFUL_SIGMA_MIN:
+        raise FormatError(
+            f"invalid 'faithful_rep': not faithful, its smallest singular value over the basis is "
+            f"{sigma_min:.3e} <= {FAITHFUL_SIGMA_MIN:g}"
+        )
     return b
-
-
-def save_bialgebra(b: CounitalBialgebra, path) -> None:
-    from .serialize import write_json
-
-    write_json(path, bialgebra_to_payload(b))

@@ -50,7 +50,7 @@ from .groups import (
     symmetric_group,
     symmetric_sign_character,
 )
-from .linalg import as_complex_array, opnorm
+from .linalg import as_complex_array, opnorms
 from .serialize import (
     FormatError,
     decode_complex_array,
@@ -71,7 +71,7 @@ from .structure_maps import (
     verify_structure_relation,
     OperatorMap,
 )
-from .walk import build_unitary, build_walk, gap_map, verify_error_identity, vector_state_check
+from .walk import StepSizeError, build_unitary, build_walk, gap_map, verify_error_identity, vector_state_check
 
 __all__ = [
     "ConfigError",
@@ -100,6 +100,11 @@ MAX_SAMPLE_TIMES = 64
 
 #: the most walk evaluations a sweep may ask for: pairs x sample times x probes x step lengths
 MAX_SWEEP_EVALUATIONS = 1024
+
+
+#: the largest exponent E a step-function pair may bring (_pair_exponent): every walk and
+#: limit matrix element of the pair, and the semigroup law's, is at most ||b|| e^E, and e^700 < 1.1e304
+MAX_PAIR_EXPONENT = 700.0
 
 
 class ConfigError(ValueError):
@@ -191,6 +196,18 @@ def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"pair {k} is malformed: {exc}") from exc
     return tuple(pairs)
+
+
+def _pair_exponent(f: StepFunction, g: StepFunction) -> float:
+    """E = (max|f|^2 + max|g|^2) / 2 * max(1, T_f, T_g).
+
+    ||eps(f)||^2 = exp integral |f|^2, and a walk or cocycle is contractive,
+    so a matrix element between eps(f) and eps(g) is at most ||b|| e^E; the
+    factor max(1, .) covers the semigroup law, which runs f(0) and g(0) for
+    unit time.
+    """
+    peak = sum(float(np.max(np.sum(np.abs(fn.values) ** 2, axis=1))) for fn in (f, g))
+    return 0.5 * peak * max(1.0, f.total_time, g.total_time)
 
 
 def _builtin(value) -> str:
@@ -339,12 +356,10 @@ class ExperimentConfig:
         noise_dim = triple.noise_dim
         sweep = cfg["sweep"]
         h_values = tuple(sweep["h0"] * sweep["ratio"] ** k for k in range(sweep["count"]))
-        h0, xi_norm_sq = h_values[0], float(np.real(np.vdot(triple.xi, triple.xi)))
-        if h0 * xi_norm_sq > 1.0:  # h0 is the largest swept step length
-            raise ConfigError(
-                f"h * ||xi||^2 = {h0 * xi_norm_sq:.6g} > 1 at h = {h0:g}: the walk "
-                "unitary requires h * ||xi||^2 <= 1 for every swept step length"
-            )
+        try:  # h0 is the largest swept step length
+            build_unitary(triple.xi, h_values[0])
+        except StepSizeError as exc:
+            raise ConfigError(f"invalid 'sweep': {exc}") from exc
         horizon = cfg["time_horizon"]
         times = (horizon,) if cfg["sample_times"] is None else cfg["sample_times"]
         if any(t < 0 or t > horizon + 1e-9 for t in times):
@@ -368,6 +383,12 @@ class ExperimentConfig:
                         _validate_alignment(fn, h, grid_end)
                     except PartitionMismatch as exc:
                         raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
+            exponent = _pair_exponent(*pair)
+            if exponent > MAX_PAIR_EXPONENT:
+                raise ConfigError(
+                    f"invalid 'step_function_pairs': pair {k} has (max|f|^2 + max|g|^2) / 2 * max(1, T_f, T_g) "
+                    f"= {exponent:.6g} > {MAX_PAIR_EXPONENT:g}, past which its matrix elements can overflow"
+                )
         probes = tuple(range(b.dim)) if cfg["probes"] == "all" else cfg["probes"]
         if any(not 0 <= i < b.dim for i in probes):
             raise ConfigError(f"invalid 'probes': probe indices must lie in 0..{b.dim - 1}")
@@ -424,14 +445,8 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     b, chi, triple = config.bialgebra, config.chi, config.triple
     report: dict = {"schema": REPORT_SCHEMA, "label": config.label, "mode": "verify", "checks": {}}
 
-    ax = verify_bialgebra(b)
-    _check(
-        report,
-        "bialgebra_axioms",
-        ax.max_residual,
-        TOLERANCES["axioms"],
-        detail=ax.as_dict(),
-    )
+    axioms = verify_bialgebra(b)
+    _check(report, "bialgebra_axioms", axioms["max_residual"], TOLERANCES["axioms"], detail=axioms)
 
     plain = ImplementingTriple(source=b, pi=triple.pi, xi=triple.xi)
     phi_big = structure_map_from_pair(plain, chi)
@@ -449,7 +464,7 @@ def run_verify(config: ExperimentConfig) -> RunResult:
     for h in config.h_values:  # from_payload checked h ||xi||^2 <= 1 and the cell count for each
         u = build_unitary(triple.xi, h)
         eye = np.eye(u.shape[0])
-        unitarity = max(unitarity, opnorm(u.conj().T @ u - eye), opnorm(u @ u.conj().T - eye))
+        unitarity = max(unitarity, *opnorms(np.stack([u.conj().T @ u - eye, u @ u.conj().T - eye])))
         identity_res = max(identity_res, verify_error_identity(triple, chi, h))
         if homomorphic:
             vector_res = max(vector_res, *vector_state_check(triple, chi, h))
@@ -476,14 +491,8 @@ def run_verify(config: ExperimentConfig) -> RunResult:
 
     zeta = default_decomposition_vector(triple)
     phi = config.generator()
-    cp_rep = verify_cp_decomposition(phi, chi, zeta)
-    _check(
-        report,
-        "cp_decomposition",
-        cp_rep.cp_residual,
-        TOLERANCES["choi"],
-        detail=cp_rep.as_dict(),
-    )
+    cp = verify_cp_decomposition(phi, chi, zeta)
+    _check(report, "cp_decomposition", cp["cp_residual"], TOLERANCES["choi"], detail=cp)
 
     _check(
         report,

@@ -40,7 +40,6 @@ __all__ = [
     "PartitionMismatch",
     "StepFunction",
     "walk_matrix_element",
-    "step_function_to_payload",
     "step_function_from_payload",
 ]
 
@@ -212,14 +211,6 @@ def _as_coeffs(src, b_coeffs) -> np.ndarray:
     if arr.shape != (src.dim,):
         raise ValueError(f"element coefficients have shape {arr.shape}, expected ({src.dim},)")
     return arr
-
-
-def step_function_to_payload(f: StepFunction) -> list:
-    """Rows [duration, [re, im], ...] with one complex pair per noise component."""
-    rows = []
-    for dur, val in zip(f.durations, f.values):
-        rows.append([float(dur)] + [[float(np.real(z)), float(np.imag(z))] for z in val])
-    return rows
 
 
 def step_function_from_payload(rows) -> StepFunction:

@@ -82,24 +82,6 @@ class FiniteGroup:
     def order(self) -> int:
         return self.table.shape[0]
 
-    def mult(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
-
-    def inv(self, i: int) -> int:
-        return int(self.inverse[i])
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
-    def to_payload(self) -> dict:
-        return {
-            "format": "group-v1",
-            "order": self.order,
-            "mult_table": [int(x) for x in self.table.reshape(-1)],
-            "labels": list(self.labels),
-            "name": self.name,
-        }
-
     @classmethod
     def from_payload(cls, payload: dict) -> "FiniteGroup":
         """The group a group-v1 payload describes: JSON integers, an order >= 1, optional string labels and name."""

@@ -16,7 +16,6 @@ __all__ = [
     "compress",
     "dag",
     "expm",
-    "opnorm",
     "opnorms",
     "polar_unitary",
     "standard_normal",
@@ -99,13 +98,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def opnorm(m: np.ndarray) -> float:
-    """Operator (spectral) norm of a single matrix."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(np.atleast_2d(m), 2))
 
 
 def opnorms(stack: np.ndarray) -> np.ndarray:

@@ -22,12 +22,12 @@ the generator gap.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bialgebra import TOLERANCES, CounitalBialgebra
-from .linalg import as_complex_array, compress, dag, opnorm, opnorms, readonly
+from .linalg import as_complex_array, compress, dag, opnorms, readonly
 
 __all__ = [
     "hat",
@@ -35,7 +35,6 @@ __all__ = [
     "ImplementingTriple",
     "NotStructureMapError",
     "ExtractionReport",
-    "CPDecompositionReport",
     "structure_map_from_pair",
     "verify_structure_relation",
     "extract_implementing_pair",
@@ -154,33 +153,27 @@ class ImplementingTriple:
     def noise_dim(self) -> int:
         return self.isometry.shape[1]
 
-    def pi_apply(self, coeffs) -> np.ndarray:
-        return np.einsum("i,iab->ab", as_complex_array(coeffs), self.pi)
-
     def nu_mats(self, chi) -> np.ndarray:
         """nu(b_i) = pi(b_i) - chi(b_i) I."""
         chi = as_complex_array(chi)
         eye = np.eye(self.rep_dim, dtype=complex)
         return self.pi - chi[:, None, None] * eye[None, :, :]
 
-    def validate(self) -> dict[str, float]:
-        """Residuals for pi being a unital *-homomorphism and D an isometry.
+    def validate(self) -> None:
+        """Raise when pi is not a *-homomorphism or D not an isometry, to TRIPLE_TOL.
 
-        Raises when a product, star or isometry residual exceeds TRIPLE_TOL;
-        unitality is reported but not enforced (non-unital pi is legal and
-        makes phi(1) != 0).
+        Unitality is not required: a non-unital pi is legal and makes
+        phi(1) != 0.
         """
         product, star = self.source.homomorphism_defects(self.pi)
         res = {
             "pi_product": float(np.max(np.abs(product))),
             "pi_star": float(np.max(np.abs(star))),
-            "pi_unital": float(np.max(np.abs(self.pi_apply(self.source.unit) - np.eye(self.rep_dim)))),
             "isometry": float(np.max(np.abs(dag(self.isometry) @ self.isometry - np.eye(self.noise_dim)))),
         }
-        for key in ("pi_product", "pi_star", "isometry"):
-            if not res[key] <= TRIPLE_TOL:  # also rejects NaN
-                raise ValueError(f"triple is invalid: {key} residual {res[key]:.3e} > {TRIPLE_TOL:g}")
-        return res
+        for key, residual in res.items():
+            if not residual <= TRIPLE_TOL:  # also rejects NaN
+                raise ValueError(f"triple is invalid: {key} residual {residual:.3e} > {TRIPLE_TOL:g}")
 
 
 def structure_map_from_pair(triple: ImplementingTriple, chi) -> OperatorMap:
@@ -221,7 +214,6 @@ class ExtractionReport:
     triple: ImplementingTriple
     roundtrip_residual: float
     kernel_dim: int
-    underdetermined: bool
 
 
 def extract_implementing_pair(phi: OperatorMap, chi) -> ExtractionReport:
@@ -262,13 +254,7 @@ def extract_implementing_pair(phi: OperatorMap, chi) -> ExtractionReport:
             "phi is not implemented by any (pi, xi)",
             residual,
         )
-    kernel_dim = p - rank
-    return ExtractionReport(
-        triple=triple,
-        roundtrip_residual=residual,
-        kernel_dim=int(kernel_dim),
-        underdetermined=kernel_dim > 0,
-    )
+    return ExtractionReport(triple=triple, roundtrip_residual=residual, kernel_dim=int(p - rank))
 
 
 def default_decomposition_vector(triple: ImplementingTriple) -> np.ndarray:
@@ -280,18 +266,6 @@ def default_decomposition_vector(triple: ImplementingTriple) -> np.ndarray:
     """
     xi = triple.xi
     return np.concatenate([[0.5 * np.vdot(xi, xi)], dag(triple.isometry) @ xi])
-
-
-@dataclass(frozen=True)
-class CPDecompositionReport:
-    cp_residual: float
-    phi1_is_cp: bool
-    phi2_at_unit_min_eig: float
-    phi_at_unit_max_eig: float
-    phitilde_one_negative: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def cp_block_matrix(phi: OperatorMap) -> np.ndarray:
@@ -306,12 +280,12 @@ def cp_block_matrix(phi: OperatorMap) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
-def verify_cp_decomposition(phi: OperatorMap, chi, zeta) -> CPDecompositionReport:
+def verify_cp_decomposition(phi: OperatorMap, chi, zeta) -> dict:
     """Check phi = phi1 - phi2 with phi2 = chi(.)(P + |zeta><e0| + |e0><zeta|).
 
-    Reports the Choi-type positivity defect of phi1 and whether the
-    lifted map phi + chi(.)P is negative at the unit, both to
-    TOLERANCES["choi"].
+    The report entry: the Choi-type positivity defect cp_residual of phi1,
+    and whether the lifted map phi + chi(.)P is negative at the unit, both
+    to TOLERANCES["choi"].
     """
     b = phi.source
     chi = as_complex_array(chi)
@@ -327,19 +301,19 @@ def verify_cp_decomposition(phi: OperatorMap, chi, zeta) -> CPDecompositionRepor
     phi2_unit_min = float(np.linalg.eigvalsh(_hermitized(phi2.at_unit()))[0])
     # finite dimensions: the strict extension of phi is phi itself
     phitilde_max = float(np.linalg.eigvalsh(_hermitized(phi.at_unit()))[-1])
-    return CPDecompositionReport(
-        cp_residual=max(0.0, -min_eig),
-        phi1_is_cp=min_eig >= -TOLERANCES["choi"],
-        phi2_at_unit_min_eig=phi2_unit_min,
-        phi_at_unit_max_eig=phitilde_max,
-        phitilde_one_negative=phitilde_max <= TOLERANCES["choi"],
-    )
+    return {
+        "cp_residual": max(0.0, -min_eig),
+        "phi1_is_cp": min_eig >= -TOLERANCES["choi"],
+        "phi2_at_unit_min_eig": phi2_unit_min,
+        "phi_at_unit_max_eig": phitilde_max,
+        "phitilde_one_negative": phitilde_max <= TOLERANCES["choi"],
+    }
 
 
 def _hermitized(m: np.ndarray) -> np.ndarray:
     herm = (m + dag(m)) / 2.0
-    defect = opnorm(m - dag(m))
-    if defect > 1e-8 * max(1.0, opnorm(m)):
+    defect, norm = opnorms(np.stack([m - dag(m), m]))
+    if defect > 1e-8 * max(1.0, norm):
         raise ValueError(f"expected a Hermitian matrix (defect {defect:.3e})")
     return herm
 

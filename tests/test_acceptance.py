@@ -21,7 +21,6 @@ from qwalklab import (
     extract_implementing_pair,
     load_bialgebra,
     run_sweep,
-    save_bialgebra,
     structure_map_from_pair,
     verify_bialgebra,
     verify_error_identity,
@@ -29,7 +28,9 @@ from qwalklab import (
     vector_state_check,
     write_demo,
 )
+from qwalklab.bialgebra import bialgebra_to_payload
 from qwalklab.convolution import ConvolutionSemigroup
+from qwalklab.serialize import write_json
 from qwalklab.structure_maps import cp_block_matrix
 from qwalklab.walk import gap_map
 
@@ -52,10 +53,10 @@ def scaled(hs, xi):
 def test_criterion_1_axiom_suite(all_bialgebras, tmp_path):
     worst = 0.0
     for b in all_bialgebras:
-        worst = max(worst, verify_bialgebra(b).max_residual)
-    save_bialgebra(all_bialgebras[-1], tmp_path / "roundtrip.json")
+        worst = max(worst, verify_bialgebra(b)["max_residual"])
+    write_json(tmp_path / "roundtrip.json", bialgebra_to_payload(all_bialgebras[-1]))
     loaded = load_bialgebra(tmp_path / "roundtrip.json")
-    worst = max(worst, verify_bialgebra(loaded).max_residual)
+    worst = max(worst, verify_bialgebra(loaded)["max_residual"])
     report(1, f"bialgebra axiom residuals < 1e-12 (worst {worst:.2e})", worst < 1e-12)
 
 

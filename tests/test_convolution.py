@@ -67,7 +67,7 @@ def test_function_algebra_convolution_is_group_convolution(c_z2, z2):
     expected = np.zeros(2, dtype=complex)
     for y in range(2):
         for z in range(2):
-            expected[z2.mult(y, z)] += f[y] * g[z]
+            expected[z2.table[y, z]] += f[y] * g[z]
     assert np.max(np.abs(got - expected)) < 1e-14
 
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import logging
 import math
 import os
@@ -10,12 +11,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwalklab import ConfigError, ExperimentConfig, run_sweep, run_verify, write_demo
+from qwalklab import (
+    ConfigError,
+    ExperimentConfig,
+    run_sweep,
+    run_verify,
+    verify_bialgebra,
+    verify_cp_decomposition,
+    write_demo,
+)
 from qwalklab.bialgebra import bialgebra_to_payload, build_group_algebra
 from qwalklab.cli import main
 from qwalklab.experiment import (
     DEMO_NAMES,
     FIELDS,
+    MAX_PAIR_EXPONENT,
     MAX_SEGMENTS,
     MAX_SWEEP_EVALUATIONS,
     _demo_payload,
@@ -24,6 +34,7 @@ from qwalklab.experiment import (
 from qwalklab.fock import step_function_from_payload
 from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
+from qwalklab.structure_maps import default_decomposition_vector
 
 from .conftest import with_src
 
@@ -349,6 +360,63 @@ def test_cli_oversized_step_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, config)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "h * ||xi||^2" in capsys.readouterr().err
+
+
+def test_cli_oversized_step_names_the_sweep(tmp_path, capsys):
+    payload = _demo_payload("group-z2")
+    payload["sweep"]["h0"] = 0.5  # ||xi||^2 = 2.25
+    config = write_config(tmp_path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid 'sweep': h * ||xi||^2 = 1.125 > 1")
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_non_faithful_rep_file_exits_two_naming_it(tmp_path, capsys, command):
+    # the trivial representation is a *-representation that is not faithful: a malformed file, not a failed axiom
+    config = write_demo("custom-file", tmp_path)
+    bialgebra = read_json(tmp_path / "bialgebra.json")
+    bialgebra["faithful_rep"] = [[[[1.0, 0.0]]]] * 6
+    write_json(tmp_path / "bialgebra.json", bialgebra)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid 'file' in 'bialgebra': invalid 'faithful_rep': not faithful")
+    assert "0.000e+00 <= 1e-08" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_pair_past_the_exponent_bound_exits_two(tmp_path, capsys, command):
+    # exp(integral |f|^2 / 2) = e^500000 would overflow, and reach report.json as NaN
+    payload = _demo_payload("group-z2")
+    payload["step_function_pairs"][0]["f"] = [[1.0, [1000.0, 0.0]]]
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid 'step_function_pairs': pair 0 has ")
+    assert "= 500000 > 700" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_pair_at_the_exponent_bound_keeps_every_number_finite(tmp_path, name):
+    # f = g = c with c^2 just under MAX_PAIR_EXPONENT: matrix elements near e^700, none overflows
+    payload = _demo_payload(name)
+    c = math.sqrt(0.999 * MAX_PAIR_EXPONENT)
+    payload["step_function_pairs"][0] = {"f": [[1.0, [c, 0.0]]], "g": [[1.0, [c, 0.0]]]}
+    write_demo(name, tmp_path)
+    config = ExperimentConfig.from_payload(payload, tmp_path)
+    for run in (run_verify, run_sweep):
+        json.dumps(run(config).report, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_verify_details_are_the_check_reports(tmp_path, name):
+    config = ExperimentConfig.from_file(write_demo(name, tmp_path))
+    checks = run_verify(config).report["checks"]
+    assert checks["bialgebra_axioms"]["detail"] == verify_bialgebra(config.bialgebra)
+    zeta = default_decomposition_vector(config.triple)
+    cp = verify_cp_decomposition(config.generator(), config.chi, zeta)
+    assert json.loads(json.dumps(checks["cp_decomposition"]["detail"])) == json.loads(json.dumps(cp))
 
 
 MALFORMED_FIELDS = [

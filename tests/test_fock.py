@@ -8,7 +8,6 @@ from qwalklab import (
     StepFunction,
     build_walk,
     step_function_from_payload,
-    step_function_to_payload,
     walk_matrix_element,
 )
 
@@ -220,9 +219,10 @@ def test_walk_checks_every_call_before_reuse(group_z2, z2_sign_triple):
         walk_matrix_element(psi, np.ones(3), f, f, 1.0, 0.25)
 
 
-def test_step_function_payload_roundtrip():
+def test_step_function_payload_reads_each_row():
+    # rows [duration, [re, im], ...], one pair per noise component
     f = two_piece(noise_dim=2)
-    back = step_function_from_payload(step_function_to_payload(f))
+    back = step_function_from_payload([[0.5, [1.0, 0.0], [0.0, 0.2]], [0.5, [0.6, -0.3], [-0.1, 0.0]]])
     assert np.array_equal(back.durations, f.durations)
     assert np.array_equal(back.values, f.values)
 

@@ -94,7 +94,6 @@ def test_extraction_takes_minimum_norm_vector(group_z2):
     )
     phi = structure_map_from_pair(triple, group_z2.counit)
     report = extract_implementing_pair(phi, group_z2.counit)
-    assert report.underdetermined
     assert report.kernel_dim == 1
     assert np.allclose(report.triple.xi, [0.5, -0.5], atol=1e-12)
     assert report.roundtrip_residual < 1e-13
@@ -120,8 +119,8 @@ def test_phi_at_unit_zero_iff_pi_unital(c_z2, group_s3):
     pi = np.zeros((c_z2.dim, 2, 2), dtype=complex)
     pi[:, 0, 0] = c_z2.characters[1]
     nonunital = ImplementingTriple(source=c_z2, pi=pi, xi=np.array([0.3, -0.2j]))
-    residuals = nonunital.validate()
-    assert residuals["pi_unital"] > 0.5
+    assert nonunital.validate() is None  # unitality is not required
+    assert np.max(np.abs(np.einsum("i,iab->ab", c_z2.unit, pi) - np.eye(2))) > 0.5
     phi = structure_map_from_pair(nonunital, c_z2.counit)
     assert np.max(np.abs(phi.at_unit())) > 0.5
 
@@ -160,17 +159,17 @@ def test_cp_decomposition_with_derived_zeta(group_s3, s3_cp_triple):
     phi = structure_map_from_pair(s3_cp_triple, group_s3.counit)
     zeta = default_decomposition_vector(s3_cp_triple)
     report = verify_cp_decomposition(phi, group_s3.counit, zeta)
-    assert report.phi1_is_cp
-    assert report.cp_residual < 1e-10
-    assert report.phitilde_one_negative
+    assert report["phi1_is_cp"]
+    assert report["cp_residual"] < 1e-10
+    assert report["phitilde_one_negative"]
 
 
 def test_cp_decomposition_full_space_with_identity_isometry(c_z2, c_z2_eval_triple):
     phi = structure_map_from_pair(c_z2_eval_triple, c_z2.counit)
     zeta = default_decomposition_vector(c_z2_eval_triple)
     report = verify_cp_decomposition(phi, c_z2.counit, zeta)
-    assert report.phi1_is_cp
-    assert report.phitilde_one_negative
+    assert report["phi1_is_cp"]
+    assert report["phitilde_one_negative"]
 
 
 def test_cp_decomposition_wrong_zeta_sign_fails(c_z2, c_z2_eval_triple):
@@ -179,7 +178,7 @@ def test_cp_decomposition_wrong_zeta_sign_fails(c_z2, c_z2_eval_triple):
     zeta = default_decomposition_vector(c_z2_eval_triple)
     zeta[0] = -zeta[0]
     report = verify_cp_decomposition(phi, c_z2.counit, zeta)
-    assert not report.phi1_is_cp
+    assert not report["phi1_is_cp"]
 
 
 def test_cp_block_matrix_positive_for_representation(group_s3):

@@ -14,7 +14,6 @@ from .conftest import with_src
 
 PUBLIC_NAMES = [
     "AxiomViolation",
-    "BialgebraReport",
     "CocycleEvaluator",
     "ConfigError",
     "ConvolutionSemigroup",
@@ -45,9 +44,7 @@ PUBLIC_NAMES = [
     "load_bialgebra",
     "run_sweep",
     "run_verify",
-    "save_bialgebra",
     "step_function_from_payload",
-    "step_function_to_payload",
     "structure_map_from_pair",
     "symmetric_group",
     "vector_state_check",
@@ -60,8 +57,11 @@ PUBLIC_NAMES = [
 ]
 
 #: taken out of __all__ on purpose: the compatibility check's iterates are private to it, and the
-#: unitary, the cell count and the hat lifting are plain values
+#: unitary, the cell count and the hat lifting are plain values; the axiom and CP reports are the
+#: dicts report.json holds, and the rest had no caller outside the tests
 RETIRED_NAMES = (
+    "BialgebraReport",
+    "CPDecompositionReport",
     "GridSpec",
     "HatSpace",
     "WalkStep",
@@ -69,6 +69,9 @@ RETIRED_NAMES = (
     "convolution_iterates",
     "convolve",
     "lift",
+    "opnorm",
+    "save_bialgebra",
+    "step_function_to_payload",
 )
 
 SUBMODULES = (
@@ -88,7 +91,7 @@ SUBMODULES = (
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(qwalklab.__all__) == PUBLIC_NAMES
     assert [name for name in qwalklab.__all__ if not hasattr(qwalklab, name)] == []
 
