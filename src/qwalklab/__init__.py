@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bialgebra": (
-        "AxiomViolation", "CounitalBialgebra", "build_function_algebra", "build_group_algebra",
-        "load_bialgebra", "verify_bialgebra",
+        "CounitalBialgebra", "build_function_algebra", "build_group_algebra", "load_bialgebra",
+        "verify_bialgebra",
     ),
     "cbnorm": ("amplified_norm",),
     "cocycle": ("CocycleEvaluator", "assoc_generator"),

@@ -23,10 +23,9 @@ import numpy as np
 
 from .groups import FiniteGroup
 from .linalg import as_complex_array, compress, dag, readonly, standard_normal
-from .serialize import FormatError, decode_complex_array, encode_complex_array, integer, labels_and_name
+from .serialize import FormatError, decode_complex_array, encode_complex_array, integer, labels_and_name, only_keys
 
 __all__ = [
-    "AxiomViolation",
     "CounitalBialgebra",
     "verify_bialgebra",
     "build_function_algebra",
@@ -71,19 +70,6 @@ FAITHFUL_SIGMA_MIN = 1e-8
 #: relative tolerance that separates eigenvalues, singular values and
 #: characters when rep is split into irreducible blocks
 _SPLIT_RTOL = 1e-8
-
-
-class AxiomViolation(ValueError):
-    """A bialgebra axiom failed; carries the axiom name and worst basis index."""
-
-    def __init__(self, axiom: str, index, residual: float):
-        self.axiom = axiom
-        self.index = tuple(int(x) for x in np.atleast_1d(index))
-        self.residual = float(residual)
-        super().__init__(
-            f"{axiom} violated at basis index {self.index[0]} "
-            f"(residual {self.residual:.3e})"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,39 +334,30 @@ def build_group_algebra(group: FiniteGroup, extra_characters=()) -> CounitalBial
     )
 
 
+#: CounitalBialgebra field -> the key of its array in a bialgebra-v1 file
+_ARRAY_KEYS = {
+    "mult": "structure_constants",
+    "invol": "involution",
+    "unit": "unit",
+    "coproduct": "coproduct",
+    "counit": "counit",
+    "characters": "characters",
+    "rep": "faithful_rep",
+}
+
+
 def bialgebra_to_payload(b: CounitalBialgebra) -> dict:
-    return {
-        "format": "bialgebra-v1",
-        "name": b.name,
-        "dim": b.dim,
-        "labels": list(b.labels),
-        "structure_constants": encode_complex_array(b.mult),
-        "involution": encode_complex_array(b.invol),
-        "unit": encode_complex_array(b.unit),
-        "coproduct": encode_complex_array(b.coproduct),
-        "counit": encode_complex_array(b.counit),
-        "characters": encode_complex_array(b.characters),
-        "faithful_rep": encode_complex_array(b.rep),
-    }
+    arrays = {name: encode_complex_array(getattr(b, key)) for key, name in _ARRAY_KEYS.items()}
+    return {"format": "bialgebra-v1", "name": b.name, "dim": b.dim, "labels": list(b.labels), **arrays}
 
 
 def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
     if payload.get("format") != "bialgebra-v1":
         raise FormatError(f"unsupported bialgebra format {payload.get('format')!r}")
+    only_keys(payload, ("format", "name", "dim", "labels", *_ARRAY_KEYS.values()))
     try:
         dim = payload["dim"]
-        fields = {
-            key: decode_complex_array(payload[name])
-            for key, name in (
-                ("mult", "structure_constants"),
-                ("invol", "involution"),
-                ("unit", "unit"),
-                ("coproduct", "coproduct"),
-                ("counit", "counit"),
-                ("characters", "characters"),
-                ("rep", "faithful_rep"),
-            )
-        }
+        fields = {key: decode_complex_array(payload[name]) for key, name in _ARRAY_KEYS.items()}
     except KeyError as exc:
         raise FormatError(f"missing bialgebra field {exc.args[0]!r}") from exc
     try:
@@ -397,18 +374,20 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
 def load_bialgebra(path) -> CounitalBialgebra:
     """Load a bialgebra file and verify every axiom, to TOLERANCES["axioms"], before returning it.
 
-    Raises FormatError for malformed data or a faithful_rep that is not
-    faithful (its smallest singular value at most FAITHFUL_SIGMA_MIN), and
-    AxiomViolation (naming the first failed axiom in AXIOM_ORDER and its
-    basis index) for well-formed data that is not a counital *-bialgebra.
+    Raises FormatError for malformed data, for data that is not a counital
+    *-bialgebra (naming the first failed axiom in AXIOM_ORDER, its basis
+    index and its residual), and for a faithful_rep that is not faithful
+    (its smallest singular value at most FAITHFUL_SIGMA_MIN).
     """
     from .serialize import read_json
 
     b = bialgebra_from_payload(read_json(path))
     report = verify_bialgebra(b)
     for axiom in AXIOM_ORDER:
-        if report["residuals"][axiom] > TOLERANCES["axioms"]:
-            raise AxiomViolation(axiom, report["worst_index"][axiom], report["residuals"][axiom])
+        residual = report["residuals"][axiom]
+        if residual > TOLERANCES["axioms"]:
+            index = report["worst_index"][axiom][0]
+            raise FormatError(f"{axiom} violated at basis index {index} (residual {residual:.3e})")
     sigma_min = report["injectivity_sigma_min"]
     if sigma_min <= FAITHFUL_SIGMA_MIN:
         raise FormatError(

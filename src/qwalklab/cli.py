@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 a verification check failed,
-2 the request itself was invalid (bad config, malformed file, unknown demo),
+2 the request itself was invalid (bad config, malformed file, a bialgebra
+file that fails an axiom, unknown demo),
 3 an internal error: any other exception, reported as one "internal error:"
 line on stderr (the traceback is logged at DEBUG level).
 """
@@ -12,13 +13,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .bialgebra import AxiomViolation
 from .experiment import (
     DEMO_NAMES,
     ConfigError,
     ExperimentConfig,
     REPORT_SCHEMA,
     RunResult,
+    errors_to_csv,
+    errors_to_dat,
     run_sweep,
     run_verify,
     write_demo,
@@ -53,41 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_sweep_outputs(result: RunResult, out_dir: Path) -> None:
-    if result.csv_text is not None:
-        (out_dir / "errors.csv").write_text(result.csv_text)
-    if result.dat_text is not None:
-        (out_dir / "errors.dat").write_text(result.dat_text)
-
-
-def _load_config(path, out_dir: Path, label: str) -> ExperimentConfig | None:
-    """Parse the config; on an axiom violation write a failing report and return None."""
-    try:
-        return ExperimentConfig.from_file(path)
-    except AxiomViolation as exc:
-        report = {
-            "schema": REPORT_SCHEMA,
-            "label": label,
-            "mode": "verify",
-            "checks": {
-                "bialgebra_axioms": {
-                    "passed": False,
-                    "axiom": exc.axiom,
-                    "basis_index": list(exc.index),
-                    "residual": exc.residual,
-                }
-            },
-            "passed": False,
-        }
-        write_json(out_dir / "report.json", report)
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return None
+    (out_dir / "errors.csv").write_text(errors_to_csv(result.report))
+    (out_dir / "errors.dat").write_text(errors_to_dat(result.report))
 
 
 def _cmd_verify(args) -> int:
     out_dir = Path(args.out)
-    config = _load_config(args.config, out_dir, Path(args.config).stem)
-    if config is None:
-        return 1
+    config = ExperimentConfig.from_file(args.config)
     log.info("verify: %s", config.label)
     result = run_verify(config)
     write_json(out_dir / "report.json", result.report)
@@ -97,9 +71,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out_dir = Path(args.out)
-    config = _load_config(args.config, out_dir, Path(args.config).stem)
-    if config is None:
-        return 1
+    config = ExperimentConfig.from_file(args.config)
     log.info("sweep: %s over %d step lengths", config.label, len(config.h_values))
     result = run_sweep(config)
     write_json(out_dir / "report.json", result.report)
@@ -112,9 +84,7 @@ def _cmd_demo(args) -> int:
     out_dir = Path(args.out)
     config_path = write_demo(args.name, out_dir)
     log.info("demo %s: wrote %s", args.name, config_path)
-    config = _load_config(config_path, out_dir, args.name)
-    if config is None:
-        return 1
+    config = ExperimentConfig.from_file(config_path)
     verify = run_verify(config)
     sweep = run_sweep(config) if verify.passed else None
     report = {

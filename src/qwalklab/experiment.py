@@ -57,6 +57,7 @@ from .serialize import (
     encode_complex_array,
     finite_number,
     integer,
+    only_keys,
     read_json,
     write_json,
 )
@@ -192,6 +193,7 @@ def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
     pairs = []
     for k, pair in enumerate(_list(value, MAX_PAIRS)):
         try:
+            only_keys(_object(pair), ("f", "g"))
             pairs.append(tuple(step_function_from_payload(_list(pair[fn], MAX_SEGMENTS)) for fn in "fg"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"pair {k} is malformed: {exc}") from exc
@@ -430,8 +432,6 @@ class ExperimentConfig:
 class RunResult:
     report: dict
     passed: bool
-    csv_text: str | None = None
-    dat_text: str | None = None
 
 
 def _check(report: dict, name: str, residual: float, tolerance: float, **extra) -> None:
@@ -578,12 +578,7 @@ def run_sweep(config: ExperimentConfig) -> RunResult:
         "final_error_bound": config.final_error_bound,
         "passed": passed,
     }
-    return RunResult(
-        report=report,
-        passed=passed,
-        csv_text=errors_to_csv(report),
-        dat_text=errors_to_dat(report),
-    )
+    return RunResult(report=report, passed=passed)
 
 
 def _loglog_slope(h_values, errs):

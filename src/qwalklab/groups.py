@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import FormatError, integer, labels_and_name
+from .serialize import FormatError, integer, labels_and_name, only_keys
 
 __all__ = [
     "GroupTableError",
@@ -86,6 +86,7 @@ class FiniteGroup:
     def from_payload(cls, payload: dict) -> "FiniteGroup":
         """The group a group-v1 payload describes: JSON integers, an order >= 1, optional string labels and name."""
         try:
+            only_keys(payload, ("format", "order", "mult_table", "labels", "name"))
             order = integer(payload["order"])
             if order < 1:
                 raise FormatError(f"invalid 'order': expected an integer >= 1, got {order}")

@@ -19,6 +19,7 @@ __all__ = [
     "finite_number",
     "integer",
     "labels_and_name",
+    "only_keys",
     "read_json",
     "write_json",
 ]
@@ -73,6 +74,13 @@ def labels_and_name(payload: dict, count: int, prefix: str, name: str) -> tuple[
     if not isinstance(name, str):
         raise FormatError(f"invalid 'name': expected a string, got {name!r}")
     return tuple(labels), name
+
+
+def only_keys(payload: dict, allowed: tuple[str, ...]) -> None:
+    """Refuse payload, with a FormatError naming the key, if one of its keys is not in allowed."""
+    unknown = [key for key in payload if key not in allowed]
+    if unknown:
+        raise FormatError(f"unknown key {unknown[0]!r}")
 
 
 def _decode(node):

@@ -29,6 +29,8 @@ from qwalklab.experiment import (
     MAX_SEGMENTS,
     MAX_SWEEP_EVALUATIONS,
     _demo_payload,
+    errors_to_csv,
+    errors_to_dat,
     resolve_bialgebra,
 )
 from qwalklab.fock import step_function_from_payload
@@ -237,13 +239,13 @@ def test_sweep_tail_slope_with_six_rows(tmp_path):
 
 def test_sweep_csv_and_dat_layout(tmp_path):
     cfg = ExperimentConfig.from_payload(base_payload(), tmp_path)
-    result = run_sweep(cfg)
-    lines = result.csv_text.strip().split("\n")
+    report = run_sweep(cfg).report
+    lines = errors_to_csv(report).strip().split("\n")
     assert lines[0] == "# schema: qwalklab-errors-v1"
     assert lines[1].split(",")[:4] == ["h", "n_steps", "generator_gap", "max_error"]
     assert "err_p0_t1_b0" in lines[1]
     assert len(lines) == 2 + 4
-    dat = result.dat_text.strip().split("\n")
+    dat = errors_to_dat(report).strip().split("\n")
     assert dat[0].startswith("#")
     assert len(dat) == 2 + 4
     first_row = dat[2].split()
@@ -308,13 +310,10 @@ def test_cli_corrupted_coproduct_names_coassociativity(tmp_path, capsys):
     )
     path = write_config(tmp_path, config)
     code = main(["verify", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 1
-    report = read_json(tmp_path / "report.json")
-    assert not report["passed"]
-    entry = report["checks"]["bialgebra_axioms"]
-    assert entry["axiom"] == "coassociativity"
-    assert entry["residual"] > 1e-6
-    assert "coassociativity" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid 'file' in 'bialgebra': coassociativity violated at basis index ")
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("axioms", [None, 1e-9])
@@ -328,16 +327,36 @@ def test_cli_axioms_tolerance_applies_to_bialgebra_files(tmp_path, capsys, axiom
         write_json(config_path, {**read_json(config_path), "tolerances": {"axioms": axioms}})
     code = main(["verify", "--config", str(config_path), "--out", str(tmp_path)])
     err = capsys.readouterr().err
+    assert code == 2
     if axioms is None:
-        entry = read_json(tmp_path / "report.json")["checks"]["bialgebra_axioms"]
-        assert code == 1
-        assert entry["axiom"] == "counit_law"
-        assert not entry["passed"]
-        assert "counit_law violated" in err
+        assert err == "error: invalid 'file' in 'bialgebra': counit_law violated at basis index 0 (residual 1.000e-11)\n"
     else:
-        assert code == 2
         assert err == "error: unknown key 'tolerances' in the config\n"
-        assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_bialgebra_file_failing_an_axiom_exits_two(tmp_path, capsys, command):
+    # a failed axiom refuses the file like any other defect of it: one line on stderr, no report
+    config = write_demo("custom-file", tmp_path)
+    bialgebra = read_json(tmp_path / "bialgebra.json")
+    bialgebra["counit"][0][0] += 1e-3
+    write_json(tmp_path / "bialgebra.json", bialgebra)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid 'file' in 'bialgebra': counit_law violated at basis index 0 (residual 1.000e-03)\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_pair_with_an_unknown_key_exits_two(tmp_path, capsys, command):
+    payload = _demo_payload("group-z2")
+    payload["step_function_pairs"][0]["x"] = 1
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid 'step_function_pairs': pair 0 is malformed: unknown key 'x'\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_failed_extraction_is_a_failed_check(tmp_path, capsys):
@@ -709,6 +728,32 @@ def test_cli_malformed_file_exits_two_naming_it(tmp_path, capsys, command, bialg
 
 #: the Klein four-group, named like the builtin cyclic group of the same order
 KLEIN_AS_Z4 = {"order": 4, "mult_table": [i ^ j for i in range(4) for j in range(4)], "name": "Z4"}
+
+
+@pytest.mark.parametrize(
+    "bialgebra, extra, expected",
+    [
+        ({"file": "bad.json"}, {"note": "hi"}, "invalid 'file' in 'bialgebra': unknown key 'note'"),
+        (
+            GROUP_FILE,
+            {"extra": 1},
+            "invalid 'group' in 'bialgebra': malformed group payload: unknown key 'extra'",
+        ),
+    ],
+    ids=["bialgebra-file", "group-file"],
+)
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_file_with_an_unknown_key_exits_two_naming_it(tmp_path, capsys, command, bialgebra, extra, expected):
+    if "file" in bialgebra:
+        b = build_group_algebra(symmetric_group(3), extra_characters=[symmetric_sign_character(3)])
+        content = bialgebra_to_payload(b)
+    else:
+        content = {**KLEIN_AS_Z4, "format": "group-v1"}  # 'format' is an allowed key of a group file
+    write_json(tmp_path / "bad.json", {**content, **extra})
+    config = write_config(tmp_path, base_payload(bialgebra=bialgebra))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])

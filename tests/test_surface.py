@@ -13,7 +13,6 @@ import qwalklab
 from .conftest import with_src
 
 PUBLIC_NAMES = [
-    "AxiomViolation",
     "CocycleEvaluator",
     "ConfigError",
     "ConvolutionSemigroup",
@@ -58,8 +57,10 @@ PUBLIC_NAMES = [
 
 #: taken out of __all__ on purpose: the compatibility check's iterates are private to it, and the
 #: unitary, the cell count and the hat lifting are plain values; the axiom and CP reports are the
-#: dicts report.json holds, and the rest had no caller outside the tests
+#: dicts report.json holds, a failed axiom in a bialgebra file is a FormatError like every other bad
+#: file, and the rest had no caller outside the tests
 RETIRED_NAMES = (
+    "AxiomViolation",
     "BialgebraReport",
     "CPDecompositionReport",
     "GridSpec",
@@ -91,7 +92,7 @@ SUBMODULES = (
 
 
 def test_package_all_is_pinned():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(qwalklab.__all__) == PUBLIC_NAMES
     assert [name for name in qwalklab.__all__ if not hasattr(qwalklab, name)] == []
 

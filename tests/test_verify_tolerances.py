@@ -6,7 +6,6 @@ import pytest
 
 import qwalklab.experiment as experiment
 from qwalklab import ConfigError, ExperimentConfig, run_verify, write_demo
-from qwalklab.bialgebra import AxiomViolation
 from qwalklab.cli import main
 from qwalklab.experiment import DEMO_NAMES, TOLERANCES, _demo_payload
 from qwalklab.serialize import read_json, write_json
@@ -93,7 +92,7 @@ def _counit_shifted(tmp_path, shift: float, index: int = 0):
 def test_bialgebra_file_is_loaded_at_the_table_axioms_bar(tmp_path, monkeypatch):
     # a 1e-11 counit defect fails the table's 1e-12, and passes once the table itself, not a config, says 1e-10
     config_path = _counit_shifted(tmp_path, 1e-11)
-    with pytest.raises(AxiomViolation, match="counit_law"):
+    with pytest.raises(ConfigError, match="counit_law violated at basis index 0"):
         ExperimentConfig.from_file(config_path)
     monkeypatch.setitem(experiment.TOLERANCES, "axioms", 1e-10)
     entry = run_verify(ExperimentConfig.from_file(config_path)).report["checks"]["bialgebra_axioms"]
@@ -114,14 +113,12 @@ def test_config_cannot_loosen_the_bars_of_a_broken_bialgebra(tmp_path, capsys, t
     out = tmp_path / "out"
     code = main(["verify", "--config", str(config_path), "--out", str(out)])
     err = capsys.readouterr().err
+    assert code == 2
     if tolerances is None:
-        assert code == 1
-        assert read_json(out / "report.json")["checks"]["bialgebra_axioms"]["axiom"] == "counit_law"
-        assert "counit_law violated" in err
+        assert err == "error: invalid 'file' in 'bialgebra': counit_law violated at basis index 1 (residual 3.000e-01)\n"
     else:
-        assert code == 2
         assert err == "error: unknown key 'tolerances' in the config\n"
-        assert not (out / "report.json").exists()
+    assert not (out / "report.json").exists()
 
 
 #: (key, value) of each retired top-level key at a value its parser once accepted
