@@ -50,19 +50,6 @@ TOLERANCES = {
     "semigroup": 1e-11,
 }
 
-#: order in which axioms are reported and in which the loader names failures
-# algebra axioms first, then the coalgebra ones, then their compatibility
-AXIOM_ORDER = (
-    "associativity",
-    "unit",
-    "involution",
-    "coassociativity",
-    "counit_law",
-    "coproduct_homomorphism",
-    "characters",
-    "representation",
-)
-
 #: the bar a bialgebra file's faithful_rep must clear: the smallest singular
 #: value of b_i -> rep[i], as a map from the basis into matrices, lies above it
 FAITHFUL_SIGMA_MIN = 1e-8
@@ -186,8 +173,10 @@ def _worst(arr: np.ndarray) -> tuple[float, list]:
 def verify_bialgebra(b: CounitalBialgebra) -> dict:
     """Run every axiom check on all basis tuples: the report entry of the worst residuals.
 
-    residuals maps each axiom to its worst absolute defect and worst_index
-    to where it occurred (leading index = basis element of the defining
+    residuals maps each axiom to its worst absolute defect, in the order
+    the checks run: the algebra axioms, then the coalgebra ones, then their
+    compatibility, the characters and rep.  worst_index maps it to where
+    the defect occurred (leading index = basis element of the defining
     relation); injectivity_sigma_min is the smallest singular value of
     rep over the basis; (co)commutative is read to TOLERANCES["axioms"].
     """
@@ -219,14 +208,6 @@ def verify_bialgebra(b: CounitalBialgebra) -> dict:
         - np.einsum("jk,il,klr->ijr", s, s, m, optimize=True),
     )
     record(
-        "coproduct_homomorphism",
-        np.einsum("ijk,kab->ijab", m, c, optimize=True)
-        - np.einsum("ipq,jrs,prt,qsu->ijtu", c, c, m, m, optimize=True),
-        np.einsum("ij,jab->iab", s, c)
-        - np.einsum("iab,ap,bq->ipq", np.conjugate(c), s, s, optimize=True),
-        np.einsum("i,iab->ab", u, c) - np.outer(u, u),
-    )
-    record(
         "coassociativity",
         np.einsum("iak,kbc->iabc", c, c, optimize=True) - np.einsum("ijc,jab->iabc", c, c, optimize=True),
     )
@@ -234,6 +215,14 @@ def verify_bialgebra(b: CounitalBialgebra) -> dict:
         "counit_law",
         np.einsum("ijk,k->ij", c, e) - eye,
         np.einsum("ijk,j->ik", c, e) - eye,
+    )
+    record(
+        "coproduct_homomorphism",
+        np.einsum("ijk,kab->ijab", m, c, optimize=True)
+        - np.einsum("ipq,jrs,prt,qsu->ijtu", c, c, m, m, optimize=True),
+        np.einsum("ij,jab->iab", s, c)
+        - np.einsum("iab,ap,bq->ipq", np.conjugate(c), s, s, optimize=True),
+        np.einsum("i,iab->ab", u, c) - np.outer(u, u),
     )
     char_arrays = []
     for chi in b.characters:
@@ -262,6 +251,15 @@ def verify_bialgebra(b: CounitalBialgebra) -> dict:
     }
 
 
+def _group_tensors(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L[g, h, gh] = 1, the diagonal I3[g, g, g] = 1 and the identity's indicator e, as complex arrays.
+
+    C[G] multiplies by L and C(G) comultiplies by it; the other takes I3.
+    """
+    eye = np.eye(group.order, dtype=complex)
+    return eye[group.table], eye[:, :, None] * eye, eye[group.identity]
+
+
 def build_function_algebra(group: FiniteGroup) -> CounitalBialgebra:
     """Functions on a finite group: basis of point indicators delta_g.
 
@@ -271,28 +269,17 @@ def build_function_algebra(group: FiniteGroup) -> CounitalBialgebra:
     representation is by diagonal matrix units.
     """
     n = group.order
-    mult = np.zeros((n, n, n), dtype=complex)
-    idx = np.arange(n)
-    mult[idx, idx, idx] = 1.0
-    coproduct = np.zeros((n, n, n), dtype=complex)
-    st = group.table
-    for s_i in range(n):
-        for t_i in range(n):
-            coproduct[st[s_i, t_i], s_i, t_i] = 1.0
-    counit = np.zeros(n, dtype=complex)
-    counit[group.identity] = 1.0
-    rep = np.zeros((n, n, n), dtype=complex)
-    rep[idx, idx, idx] = 1.0
+    L, I3, e = _group_tensors(group)
     return CounitalBialgebra(
         name=f"C({group.name})",
         labels=tuple(f"d[{lab}]" for lab in group.labels),
-        mult=mult,
+        mult=I3,
         invol=np.eye(n, dtype=complex),
         unit=np.ones(n, dtype=complex),
-        coproduct=coproduct,
-        counit=counit,
+        coproduct=L.transpose(2, 0, 1),
+        counit=e,
         characters=np.eye(n, dtype=complex),
-        rep=rep,
+        rep=I3,
     )
 
 
@@ -306,31 +293,19 @@ def build_group_algebra(group: FiniteGroup, extra_characters=()) -> CounitalBial
     for).  The faithful representation is the left regular one.
     """
     n = group.order
-    mult = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        for h in range(n):
-            mult[g, h, group.table[g, h]] = 1.0
-    invol = np.zeros((n, n), dtype=complex)
-    invol[np.arange(n), group.inverse] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    unit[group.identity] = 1.0
-    coproduct = np.zeros((n, n, n), dtype=complex)
-    coproduct[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    rep = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        rep[g, group.table[g, :], np.arange(n)] = 1.0
+    L, I3, e = _group_tensors(group)
     characters = [np.ones(n, dtype=complex)]
     characters.extend(as_complex_array(chi) for chi in extra_characters)
     return CounitalBialgebra(
         name=f"C[{group.name}]",
         labels=tuple(f"l[{lab}]" for lab in group.labels),
-        mult=mult,
-        invol=invol,
-        unit=unit,
-        coproduct=coproduct,
+        mult=L,
+        invol=np.eye(n, dtype=complex)[group.inverse],
+        unit=e,
+        coproduct=I3,
         counit=np.ones(n, dtype=complex),
         characters=np.array(characters),
-        rep=rep,
+        rep=L.transpose(0, 2, 1),
     )
 
 
@@ -375,16 +350,15 @@ def load_bialgebra(path) -> CounitalBialgebra:
     """Load a bialgebra file and verify every axiom, to TOLERANCES["axioms"], before returning it.
 
     Raises FormatError for malformed data, for data that is not a counital
-    *-bialgebra (naming the first failed axiom in AXIOM_ORDER, its basis
-    index and its residual), and for a faithful_rep that is not faithful
+    *-bialgebra (naming the first failed axiom in the order
+    verify_bialgebra runs them, its basis index and its residual), and for a faithful_rep that is not faithful
     (its smallest singular value at most FAITHFUL_SIGMA_MIN).
     """
     from .serialize import read_json
 
     b = bialgebra_from_payload(read_json(path))
     report = verify_bialgebra(b)
-    for axiom in AXIOM_ORDER:
-        residual = report["residuals"][axiom]
+    for axiom, residual in report["residuals"].items():
         if residual > TOLERANCES["axioms"]:
             index = report["worst_index"][axiom][0]
             raise FormatError(f"{axiom} violated at basis index {index} (residual {residual:.3e})")

@@ -106,11 +106,7 @@ def _cmd_demo(args) -> int:
 def _print_check_summary(result: RunResult) -> None:
     for name, entry in result.report["checks"].items():
         status = "ok" if entry["passed"] else "FAIL"
-        residual = entry.get("residual")
-        if residual is not None:
-            print(f"{status:4s} {name} (residual {residual:.3e})")
-        else:
-            print(f"{status:4s} {name}")
+        print(f"{status:4s} {name} (residual {entry['residual']:.3e})")
 
 
 def _print_sweep_summary(result: RunResult) -> None:

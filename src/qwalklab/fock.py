@@ -33,7 +33,7 @@ import numpy as np
 
 from .convolution import convolve_functionals, transfer_matrix
 from .linalg import as_complex_array, readonly
-from .serialize import FormatError, finite_number
+from .serialize import FormatError, decode_complex_array, finite_number
 from .structure_maps import OperatorMap, hat
 
 __all__ = [
@@ -216,21 +216,10 @@ def _as_coeffs(src, b_coeffs) -> np.ndarray:
 def step_function_from_payload(rows) -> StepFunction:
     if not isinstance(rows, (list, tuple)) or not rows:
         raise FormatError("step function payload must be a nonempty list of rows")
-    durations = []
-    values = []
-    width = None
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) < 2:
             raise FormatError(f"step-function row {row!r} must be [duration, [re, im], ...]")
-        durations.append(finite_number(row[0]))
-        comps = []
-        for pair in row[1:]:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise FormatError(f"step-function component {pair!r} must be [re, im]")
-            comps.append(complex(finite_number(pair[0]), finite_number(pair[1])))
-        if width is None:
-            width = len(comps)
-        elif width != len(comps):
-            raise FormatError("step-function rows have inconsistent noise dimensions")
-        values.append(comps)
-    return StepFunction(durations=np.array(durations), values=np.array(values, dtype=complex))
+    values = decode_complex_array([row[1:] for row in rows])
+    if values.ndim != 2:
+        raise FormatError("step-function components must be [re, im] pairs, as many in every row")
+    return StepFunction(durations=np.array([finite_number(row[0]) for row in rows]), values=values)

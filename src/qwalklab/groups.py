@@ -29,8 +29,9 @@ class FiniteGroup:
     """A finite group given by its Cayley table.
 
     table[i, j] is the index of the product g_i g_j.  The constructor
-    validates the Latin-square property, associativity (exhaustively),
-    a two-sided identity and inverses; orders up to 64 are supported.
+    validates the Latin-square property and associativity (exhaustively),
+    which make it a group, and finds the identity and the inverses; orders
+    up to 64 are supported.
     """
 
     table: np.ndarray
@@ -49,27 +50,20 @@ class FiniteGroup:
         if table.min() < 0 or table.max() >= n:
             raise GroupTableError("table entries must be indices in [0, order)")
         ident = np.arange(n)
-        for axis, kind in ((1, "row"), (0, "column")):
-            sorted_lines = np.sort(table, axis=axis)
-            if not np.array_equal(sorted_lines, np.broadcast_to(ident, (n, n)) if axis == 1 else np.broadcast_to(ident[:, None], (n, n))):
-                bad = int(np.argmax([not np.array_equal(np.sort(line), ident) for line in (table if axis == 1 else table.T)]))
-                raise GroupTableError(f"{kind} {bad} of the table is not a permutation")
+        for kind, lines in (("row", table), ("column", table.T)):
+            bad = (np.sort(lines, axis=1) != ident).any(axis=1)
+            if bad.any():
+                raise GroupTableError(f"{kind} {int(np.argmax(bad))} of the table is not a permutation")
         i, j, k = np.ogrid[:n, :n, :n]
         lhs = table[table[i, j], k]
         rhs = table[i, table[j, k]]
         if not np.array_equal(lhs, rhs):
             i0, j0, k0 = np.argwhere(lhs != rhs)[0]
             raise GroupTableError(f"associativity fails at triple ({i0}, {j0}, {k0})")
-        e_candidates = [e for e in range(n) if np.array_equal(table[e], ident) and np.array_equal(table[:, e], ident)]
-        if not e_candidates:
-            raise GroupTableError("no two-sided identity element")
-        e = e_candidates[0]
-        inverse = np.empty(n, dtype=np.int64)
-        for g in range(n):
-            inv = np.nonzero(table[g] == e)[0]
-            if inv.size != 1 or table[inv[0], g] != e:
-                raise GroupTableError(f"element {g} has no two-sided inverse")
-            inverse[g] = inv[0]
+        # a nonempty associative Latin square is a group: its one idempotent is
+        # the identity, and every row holds the identity once
+        e = int(np.argmax(np.diagonal(table) == ident))
+        inverse = np.argmax(table == e, axis=1)
         if len(self.labels) != n:
             raise GroupTableError("label count does not match order")
         object.__setattr__(self, "table", table)
@@ -84,9 +78,14 @@ class FiniteGroup:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FiniteGroup":
-        """The group a group-v1 payload describes: JSON integers, an order >= 1, optional string labels and name."""
+        """The group a group-v1 payload describes: JSON integers, an order >= 1, optional string labels and name.
+
+        An optional 'format' must be "group-v1".
+        """
         try:
             only_keys(payload, ("format", "order", "mult_table", "labels", "name"))
+            if payload.get("format", "group-v1") != "group-v1":
+                raise FormatError(f"unsupported group format {payload['format']!r}")
             order = integer(payload["order"])
             if order < 1:
                 raise FormatError(f"invalid 'order': expected an integer >= 1, got {order}")
@@ -109,9 +108,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table=table, labels=labels, name=f"Z{n}")
 
 
-def _perm_compose(p, q):
-    # (p o q)(x) = p(q(x))
-    return tuple(p[q[x]] for x in range(len(p)))
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of {0, ..., n-1} in lexicographic order, one per row."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
 def _perm_label(p) -> str:
@@ -134,14 +133,13 @@ def _perm_label(p) -> str:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Symmetric group S_n on {0, ..., n-1} in lexicographic permutation order."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    table = np.empty((order, order), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[_perm_compose(p, q)]
-    labels = tuple(_perm_label(p) for p in perms)
+    perms = _permutations(n)
+    if len(perms) > MAX_ORDER:  # before perms[:, perms], which holds n (n!)^2 entries
+        raise GroupTableError(f"order {len(perms)} exceeds supported maximum {MAX_ORDER}")
+    # (p o q)(x) = p(q(x)); lexicographic order is the order of the base-n keys p @ place
+    place = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ place, perms[:, perms] @ place)
+    labels = tuple(_perm_label(p) for p in perms.tolist())
     return FiniteGroup(table=table, labels=labels, name=f"S{n}")
 
 
@@ -151,24 +149,8 @@ def cyclic_character_table(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n)
 
 
-def _perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def symmetric_sign_character(n: int) -> np.ndarray:
-    """Parity character of S_n, ordered like symmetric_group(n)."""
-    perms = itertools.permutations(range(n))
-    return np.array([_perm_sign(p) for p in perms], dtype=complex)
+    """Parity character of S_n, ordered like symmetric_group(n): -1 to the number of inversions."""
+    perms = _permutations(n)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    return (1 - 2 * (inversions % 2)).astype(complex)

@@ -31,13 +31,7 @@ class FormatError(ValueError):
 
 def encode_complex_array(arr) -> list:
     arr = np.asarray(arr, dtype=complex)
-
-    def enc(x):
-        if isinstance(x, np.ndarray) and x.ndim > 0:
-            return [enc(row) for row in x]
-        return [float(np.real(x)), float(np.imag(x))]
-
-    return enc(arr)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _is_number(value) -> bool:

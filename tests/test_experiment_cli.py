@@ -757,6 +757,19 @@ def test_cli_file_with_an_unknown_key_exits_two_naming_it(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_group_file_of_another_format_exits_two(tmp_path, capsys, command):
+    # a group file's optional 'format' must be "group-v1"; Z2's table is otherwise valid
+    write_json(tmp_path / "g.json", {"format": "bialgebra-v1", "order": 2, "mult_table": [0, 1, 1, 0]})
+    section = {"builtin": "group_algebra", "group": {"file": "g.json"}}
+    payload = base_payload(bialgebra=section, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    expected = "invalid 'group' in 'bialgebra': malformed group payload: unsupported group format 'bialgebra-v1'"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_group_file_algebra_carries_the_counit_only(tmp_path, capsys, command):
     # closed-form characters come with a builtin group name, never with a group file's 'name'
     write_json(tmp_path / "klein.json", KLEIN_AS_Z4)

@@ -236,3 +236,5 @@ def test_step_function_payload_rejects_malformed():
         step_function_from_payload([[0.5, [1.0]]])
     with pytest.raises(FormatError):
         step_function_from_payload([[0.5, [1.0, 0.0]], [0.5, [1.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(FormatError):
+        step_function_from_payload([[0.5, [[1.0, 0.0]]]])

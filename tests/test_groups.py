@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qwalklab.bialgebra import TOLERANCES, build_function_algebra, build_group_algebra, verify_bialgebra
 from qwalklab.groups import (
     FiniteGroup,
     GroupTableError,
@@ -39,6 +40,20 @@ def test_symmetric_group_composition_convention():
         for b in range(6):
             composed = tuple(perms[a][perms[b][x]] for x in range(3))
             assert perms[g.table[a, b]] == composed
+
+
+def test_relabelled_group_finds_identity_and_inverses_anywhere():
+    # S3 with element a renamed p[a], so that the identity is index 4, not 0
+    s3 = symmetric_group(3)
+    p = np.array([4, 2, 5, 0, 3, 1])
+    table = np.empty_like(s3.table)
+    table[np.ix_(p, p)] = p[s3.table]
+    g = FiniteGroup(table=table, labels=tuple(s3.labels[a] for a in np.argsort(p)), name="S3'")
+    assert g.identity == 4
+    assert np.array_equal(g.inverse[p], p[s3.inverse])
+    sign = symmetric_sign_character(3)[np.argsort(p)]
+    for b in (build_function_algebra(g), build_group_algebra(g, extra_characters=[sign])):
+        assert verify_bialgebra(b)["max_residual"] <= TOLERANCES["axioms"], b.name
 
 
 def test_non_associative_table_rejected():
