@@ -27,7 +27,8 @@ the unit-ball maximizer is the unitary polar factor of G.  Both
 half-steps are exact, so the objective is nondecreasing and every
 accepted value is a certified lower bound.  Neither depends on the
 representation, so a start in B climbs through the same elements of B
-on the blocks as on rep.  All starts climb together as one stack.  The
+on the blocks as on rep.  All starts climb together as one stack: one
+per basis element of B and six random unitaries.  The
 amplification is always K = theta.dim, which already gives the cb norm,
 so no caller chooses it.  P and the start stack depend only on
 (bialgebra, K), which all rows of a sweep share.  The memo is
@@ -51,6 +52,8 @@ __all__ = ["AmplifiedMap", "amplified_norm"]
 
 #: the ascent's random unitary starts, their seed, round limit and stall tolerance
 _EXTRA_STARTS, _SEED, _MAX_ITER, _RTOL = 6, 0, 400, 1e-13
+#: the most complex entries one stack of the ascent may hold (268 MB, the compatibility check's bound)
+MAX_ASCENT_ENTRIES = 2**24
 
 
 class AmplifiedMap:
@@ -82,15 +85,27 @@ class AmplifiedMap:
         return g.reshape(u.shape[:-1] + (r * k, r * k))
 
 
+def _check_ascent_size(source, k: int):
+    """Refuse an ascent whose dim B + 6 starts of (r K)^2 or K^4 entries pass MAX_ASCENT_ENTRIES (r <= rep_dim)."""
+    entries = (source.dim + _EXTRA_STARTS) * max((source.rep_dim * k) ** 2, k**4)
+    if entries > MAX_ASCENT_ENTRIES:
+        raise ValueError(
+            f"the cb-norm ascent on hat dimension {k} could hold {entries} complex entries, "
+            f"more than the fixed bound of {MAX_ASCENT_ENTRIES}"
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def _frame(source, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (P, P^H, starts) for this bialgebra and output dimension K.
 
-    The starts are the identity, kron(rho_i / ||rho_i||, 1_K) for each
-    block_rep basis element and a fixed-seed batch of random unitaries,
-    the polar factors of complex Gaussians drawn by the stdlib generator
-    (random.Random through linalg.standard_normal), which keeps numpy's
-    random module, its memory and its import time out of the process.
+    The starts are kron(rho_i / ||rho_i||, 1_K) for each block_rep basis
+    element and a fixed-seed batch of random unitaries, the polar factors
+    of complex Gaussians drawn by the stdlib generator (random.Random
+    through linalg.standard_normal), which keeps numpy's random module,
+    its memory and its import time out of the process.  The identity is
+    no start: on C[G] it is the unit's basis start, and where theta(1) = 0
+    (every gap map of a unital pi) it climbs from rounding noise.
     """
     rep = source.block_rep
     flat = rep.reshape(len(rep), -1)
@@ -101,7 +116,7 @@ def _frame(source, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = rep.shape[1] * k
     basis = (unit[:, :, None, :, None] * np.eye(k, dtype=complex)[None, None, :, None, :]).reshape(-1, n, n)
     z = standard_normal(_SEED, (_EXTRA_STARTS, 2, n, n))
-    starts = np.concatenate([np.eye(n, dtype=complex)[None], basis, polar_unitary(z[:, 0] + 1j * z[:, 1])])
+    starts = np.concatenate([basis, polar_unitary(z[:, 0] + 1j * z[:, 1])])
     for arr in (pairing, dual, starts):
         arr.setflags(write=False)
     return pairing, dual, starts
@@ -112,10 +127,9 @@ def amplified_norm(theta: OperatorMap) -> float:
 
     Deterministic: every start of the frame climbs by alternating ascent
     until its objective stalls (val <= prev (1 + 1e-13)) or 400 rounds
-    pass; the result is the largest value any start reached.
+    pass; the result is the largest value any start reached (0.0 for the
+    zero map, whose starts all stall after one round).
     """
-    if float(np.max(np.abs(theta.mats))) == 0.0:
-        return 0.0
     amap = AmplifiedMap(theta)
     x = amap.starts
     prev = np.full(len(x), -np.inf)

@@ -26,7 +26,7 @@ from .bialgebra import (
     load_bialgebra,
     verify_bialgebra,
 )
-from .cbnorm import amplified_norm
+from .cbnorm import _check_ascent_size, amplified_norm
 from .cocycle import CocycleEvaluator, assoc_generator
 from .convolution import (
     ConvolutionSemigroup,
@@ -352,7 +352,7 @@ class ExperimentConfig:
             pi = b.characters[pi].reshape(-1, 1, 1)
         try:
             triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=cfg["triple"]["xi"], D=cfg["triple"]["D"])
-            triple.validate()
+            _check_ascent_size(b, triple.noise_dim + 1)
         except ValueError as exc:
             raise ConfigError(f"invalid 'triple': {exc}") from exc
         noise_dim = triple.noise_dim

@@ -84,12 +84,6 @@ class StepFunction:
     def constant(cls, value, duration: float) -> "StepFunction":
         return cls(durations=np.array([duration]), values=np.atleast_2d(as_complex_array(value)))
 
-    @classmethod
-    def from_segments(cls, segments) -> "StepFunction":
-        """segments: iterable of (duration, value) pairs."""
-        durations, values = zip(*segments)
-        return cls(durations=np.array(durations, dtype=float), values=np.array([np.atleast_1d(v) for v in values]))
-
     @property
     def noise_dim(self) -> int:
         return self.values.shape[1]
@@ -102,19 +96,14 @@ class StepFunction:
         k = min(max(k, 0), len(self.durations) - 1)
         return self.values[k].copy()
 
-    def overlap(self, other: "StepFunction", a: float = 0.0, b: float | None = None) -> complex:
-        """integral_a^b <self(s), other(s)> ds (first argument conjugated)."""
+    def overlap(self, other: "StepFunction", a: float = 0.0) -> complex:
+        """integral_a^infinity <self(s), other(s)> ds (first argument conjugated)."""
         if self.noise_dim != other.noise_dim:
             raise ValueError("step functions have different noise dimensions")
-        upper = max(self.total_time, other.total_time)
-        b = upper if b is None else min(b, upper)
+        b = max(self.total_time, other.total_time)
         if b <= a:
             return 0.0 + 0.0j
         return complex(sum((hi - lo) * np.vdot(u, v) for lo, hi, u, v in _pieces(a, b, self, other)))
-
-    def exponential_inner(self, other: "StepFunction") -> complex:
-        """<eps(self), eps(other)> = exp(full overlap integral)."""
-        return complex(np.exp(self.overlap(other)))
 
 
 def _pieces(a: float, b: float, f: StepFunction, g: StepFunction):

@@ -43,7 +43,7 @@ __all__ = [
     "cp_block_matrix",
 ]
 
-#: the bar on a triple's product, star and isometry residuals (ImplementingTriple.validate)
+#: the bar on a triple's product, star and isometry residuals, checked when the triple is built
 TRIPLE_TOL = 1e-10
 #: the bar on the structure relation that extraction must pass before it reads off (pi, xi)
 RELATION_GATE = 1e-8
@@ -115,7 +115,9 @@ class ImplementingTriple:
 
     pi acts on C^p, xi lives there, and D, when present, is a p x d
     isometry selecting the retained noise directions.  An absent D means
-    D = I: every noise direction is kept.
+    D = I: every noise direction is kept.  Building a triple refuses a pi
+    that is not a *-homomorphism or a D that is not an isometry, to
+    TRIPLE_TOL; unitality is not required (a non-unital pi makes phi(1) != 0).
     """
 
     source: CounitalBialgebra
@@ -139,6 +141,15 @@ class ImplementingTriple:
             if d_mat.ndim != 2 or d_mat.shape[0] != p or d_mat.shape[1] == 0:
                 raise ValueError(f"D has shape {d_mat.shape}, expected ({p}, d) with d >= 1")
             object.__setattr__(self, "D", d_mat)
+        product, star = self.source.homomorphism_defects(pi)
+        res = {
+            "pi_product": float(np.max(np.abs(product))),
+            "pi_star": float(np.max(np.abs(star))),
+            "isometry": float(np.max(np.abs(dag(self.isometry) @ self.isometry - np.eye(self.noise_dim)))),
+        }
+        for key, residual in res.items():
+            if not residual <= TRIPLE_TOL:  # also rejects NaN
+                raise ValueError(f"triple is invalid: {key} residual {residual:.3e} > {TRIPLE_TOL:g}")
 
     @property
     def rep_dim(self) -> int:
@@ -158,22 +169,6 @@ class ImplementingTriple:
         chi = as_complex_array(chi)
         eye = np.eye(self.rep_dim, dtype=complex)
         return self.pi - chi[:, None, None] * eye[None, :, :]
-
-    def validate(self) -> None:
-        """Raise when pi is not a *-homomorphism or D not an isometry, to TRIPLE_TOL.
-
-        Unitality is not required: a non-unital pi is legal and makes
-        phi(1) != 0.
-        """
-        product, star = self.source.homomorphism_defects(self.pi)
-        res = {
-            "pi_product": float(np.max(np.abs(product))),
-            "pi_star": float(np.max(np.abs(star))),
-            "isometry": float(np.max(np.abs(dag(self.isometry) @ self.isometry - np.eye(self.noise_dim)))),
-        }
-        for key, residual in res.items():
-            if not residual <= TRIPLE_TOL:  # also rejects NaN
-                raise ValueError(f"triple is invalid: {key} residual {residual:.3e} > {TRIPLE_TOL:g}")
 
 
 def structure_map_from_pair(triple: ImplementingTriple, chi) -> OperatorMap:
@@ -241,9 +236,8 @@ def extract_implementing_pair(phi: OperatorMap, chi) -> ExtractionReport:
     stacked = nu.reshape(n * p, p)
     target = phi.mats[:, 1:, 0].reshape(n * p)
     xi, _, rank, _ = np.linalg.lstsq(stacked, target, rcond=None)
-    triple = ImplementingTriple(source=b, pi=pi, xi=xi)
     try:
-        triple.validate()
+        triple = ImplementingTriple(source=b, pi=pi, xi=xi)
     except ValueError as exc:
         raise NotStructureMapError(f"lower-right block is not a *-representation: {exc}", np.inf) from exc
     rebuilt = structure_map_from_pair(triple, chi)

@@ -58,7 +58,7 @@ def test_time_zero_is_counit_times_gram(group_z2, z2_phi):
     g = StepFunction.constant([0.3 + 0.4j], 1.0)
     b = np.array([0.2, 0.8 - 0.1j])
     got = CocycleEvaluator(z2_phi).matrix_element(b, f, g, 0.0)
-    expected = (group_z2.counit @ b) * f.exponential_inner(g)
+    expected = (group_z2.counit @ b) * np.exp(f.overlap(g))
     assert abs(got - expected) < 1e-13
 
 
@@ -108,7 +108,7 @@ def test_fake_breakpoint_changes_nothing(group_z2, z2_phi):
     # same constant value split at 0.4: the interval product must collapse
     # by the semigroup law
     plain = StepFunction.constant([0.8], 1.0)
-    split = StepFunction.from_segments([(0.4, [0.8]), (0.6, [0.8])])
+    split = StepFunction(durations=[0.4, 0.6], values=[[0.8], [0.8]])
     g = StepFunction.constant([0.3 - 0.2j], 1.0)
     b = np.array([0.5, 0.5])
     one = CocycleEvaluator(z2_phi).matrix_element(b, plain, g, 1.0)
@@ -121,12 +121,12 @@ def test_interval_factorization(z2_phi, c_s3):
     # per-interval exponentials, times the tail; build the pieces by hand.
     # C(S3) is not cocommutative, so its case also fixes the join order
     s3_phi = structure_map_from_pair(two_character_triple(c_s3, 1, 3, [0.5j, -0.6]), c_s3.counit)
-    s3_f = StepFunction.from_segments([(0.5, [1.0, 0.2j]), (0.25, [0.6 - 0.3j, -0.1]), (0.25, [-0.4j, 0.7])])
-    s3_g = StepFunction.from_segments([(0.375, [0.8 + 0.2j, -0.5]), (0.625, [0.3j, 0.9])])
+    s3_f = StepFunction(durations=[0.5, 0.25, 0.25], values=[[1.0, 0.2j], [0.6 - 0.3j, -0.1], [-0.4j, 0.7]])
+    s3_g = StepFunction(durations=[0.375, 0.625], values=[[0.8 + 0.2j, -0.5], [0.3j, 0.9]])
     cases = (
         (
             z2_phi,
-            StepFunction.from_segments([(0.4, [1.0]), (0.6, [0.2j])]),
+            StepFunction(durations=[0.4, 0.6], values=[[1.0], [0.2j]]),
             StepFunction.constant([0.5], 1.0),
             np.array([0.3, 0.7]),
         ),

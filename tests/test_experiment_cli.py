@@ -550,6 +550,47 @@ def test_cli_isometry_without_columns_exits_two_naming_it(tmp_path, capsys, comm
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_non_multiplicative_pi_exits_two_naming_the_residual(tmp_path, capsys, command):
+    # pi(e) = 1 and pi(g) = 0.5 on C[Z2]: pi(g)^2 - pi(g^2) = -0.75
+    payload = _demo_payload("group-z2")
+    payload["triple"]["pi"] = {"matrices": [[[[1.0, 0.0]]], [[[0.5, 0.0]]]]}
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    expected = "error: invalid 'triple': triple is invalid: pi_product residual 7.500e-01 > 1e-10\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "report.json").exists()
+
+
+def _regular_on(group: str, order: int) -> dict:
+    """The group-z2 demo config on C[group] with pi regular, D = I and no compatibility check."""
+    payload = _demo_payload("group-z2")
+    payload["bialgebra"]["group"] = group
+    payload["triple"] = {"pi": "regular", "xi": [[0.1, 0.0]] * order}
+    payload["step_function_pairs"] = [{"f": [[1.0] + [[0.5, 0.0]] * order], "g": [[1.0] + [[0.25, 0.0]] * order]}]
+    payload["compatibility_depth"] = 0
+    payload["probes"] = [0]
+    return payload
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_triple_past_the_ascent_bound_exits_two(tmp_path, capsys, command):
+    # 70 starts of 4160 x 4160 on C[Z64] would hold 1.2e9 complex entries (17.7 GB of basis starts alone)
+    config = write_config(tmp_path, _regular_on("z64", 64))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid 'triple': the cb-norm ascent on hat dimension 65 could hold 1249543750 complex "
+        "entries, more than the fixed bound of 16777216\n"
+    )
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_s4_regular_triple_is_within_the_ascent_bound(tmp_path):
+    # 30 starts of 25^4 entries: 1.2e7 <= 2**24
+    config = ExperimentConfig.from_payload(_regular_on("s4", 24), tmp_path)
+    assert config.triple.noise_dim == 24
+
+
 def _sweep_of_shape(pairs: int, times: int, probes: int, count: int) -> dict:
     """The group-z2 demo config with its pairs repeated, and the given numbers of sample times, probes and steps."""
     payload = _demo_payload("group-z2")
@@ -791,6 +832,16 @@ def test_readme_config_format_names_every_field():
     assert sorted(key for key in keys if f"`{key}`" not in section) == []
     for retired in ("dimension_cap", "noise_dim", "identity_h", "tolerances"):
         assert retired not in section
+
+
+def test_readme_library_use_prints_first_order_errors(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(line.split()[0]) for line in lines] == [0.25, 0.125, 0.0625]
+    errors = [float(line.split()[1]) for line in lines]
+    assert all(1.9 <= coarse / fine <= 2.1 for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_cli_internal_error_exits_three(tmp_path, capsys, monkeypatch):

@@ -17,8 +17,8 @@ from .test_structure_maps import two_character_triple
 
 def two_piece(noise_dim=1):
     if noise_dim == 1:
-        return StepFunction.from_segments([(0.5, [1.0]), (0.5, [0.6 - 0.3j])])
-    return StepFunction.from_segments([(0.5, [1.0, 0.2j]), (0.5, [0.6 - 0.3j, -0.1])])
+        return StepFunction(durations=[0.5, 0.5], values=[[1.0], [0.6 - 0.3j]])
+    return StepFunction(durations=[0.5, 0.5], values=[[1.0, 0.2j], [0.6 - 0.3j, -0.1]])
 
 
 def test_step_function_basics():
@@ -46,14 +46,8 @@ def test_overlap_is_the_windowed_integral():
     expected = 0.5 * (0.8 + 0.2j) + 0.5 * np.conjugate(0.6 - 0.3j) * (0.8 + 0.2j)
     assert abs(f.overlap(g) - expected) < 1e-14
     half = 0.5 * (0.8 + 0.2j)
-    assert abs(f.overlap(g, 0.0, 0.5) - half) < 1e-14
+    assert abs(f.overlap(g) - f.overlap(g, a=0.5) - half) < 1e-14
     assert abs(f.overlap(g, a=2.0)) == 0.0
-
-
-def test_exponential_inner_product():
-    f = two_piece()
-    g = StepFunction.constant([0.8 + 0.2j], 1.0)
-    assert abs(f.exponential_inner(g) - np.exp(f.overlap(g))) < 1e-14
 
 
 def test_cell_count_floor_convention():
@@ -79,11 +73,11 @@ def test_step_hat_vectors_closed_form():
 
 def test_partition_mismatch_raises(group_z2, z2_sign_triple):
     psi = build_walk(z2_sign_triple, group_z2.counit, 0.25)
-    f = StepFunction.from_segments([(0.3, [1.0]), (0.7, [0.0])])
+    f = StepFunction(durations=[0.3, 0.7], values=[[1.0], [0.0]])
     with pytest.raises(PartitionMismatch):
         walk_matrix_element(psi, 1, f, f, 1.0, 0.25)
     # breakpoints beyond the horizon are irrelevant
-    g = StepFunction.from_segments([(0.5, [1.0]), (0.3, [0.0])])
+    g = StepFunction(durations=[0.5, 0.3], values=[[1.0], [0.0]])
     walk_matrix_element(psi, 1, g, g, 0.5, 0.25)
 
 
@@ -102,7 +96,7 @@ def test_identity_matrix_element_is_euler_product():
 def test_walk_element_matches_materialized_route(group_z2, z2_sign_triple, c_s3):
     # C(S3) is not cocommutative, so its case also fixes the order in which
     # the pieces of the step functions are joined
-    s3_f = StepFunction.from_segments([(0.5, [1.0, 0.2j]), (0.25, [0.6 - 0.3j, -0.1]), (0.25, [-0.4j, 0.7])])
+    s3_f = StepFunction(durations=[0.5, 0.25, 0.25], values=[[1.0, 0.2j], [0.6 - 0.3j, -0.1], [-0.4j, 0.7]])
     s3_probes = (c_s3.unit, *np.eye(6), np.linspace(-1.0, 1.0, 6) + 0.3j)
     cases = (
         (
@@ -143,11 +137,11 @@ def test_unit_element_euler_vs_exponential(group_z2, z2_sign_triple):
     got = walk_matrix_element(psi, group_z2.unit, f, g, 1.0, 0.25)
     euler = (1.0 + 0.25 * 0.5) ** 4
     assert abs(got - euler) < 1e-13
-    assert abs(got - f.exponential_inner(g)) > 1e-3
+    assert abs(got - np.exp(f.overlap(g))) > 1e-3
 
     g_perp = StepFunction.constant([0.0], 1.0)
     exact = walk_matrix_element(psi, group_z2.unit, f, g_perp, 1.0, 0.25)
-    assert abs(exact - f.exponential_inner(g_perp)) < 1e-14
+    assert abs(exact - np.exp(f.overlap(g_perp))) < 1e-14
 
 
 def test_walk_element_zero_steps(group_z2, z2_sign_triple):

@@ -14,7 +14,7 @@ from qwalklab import (
     verify_cp_decomposition,
     verify_structure_relation,
 )
-from qwalklab.structure_maps import cp_block_matrix, default_decomposition_vector, hat
+from qwalklab.structure_maps import RELATION_GATE, cp_block_matrix, default_decomposition_vector, hat
 
 from .oracles import cp_generator_blocks, structure_map_blocks
 
@@ -55,8 +55,7 @@ def test_hat_lifting():
 
 def test_structure_relation_for_three_triples_per_bialgebra(all_bialgebras):
     for b in all_bialgebras:
-        for triple in triples_for(b):
-            triple.validate()
+        for triple in triples_for(b):  # each is checked when it is built
             phi = structure_map_from_pair(triple, b.counit)
             assert verify_structure_relation(phi, b.counit) < RELATION_TOL
 
@@ -110,6 +109,18 @@ def test_perturbed_map_is_rejected(c_z2, c_z2_eval_triple):
     assert exc.value.residual == verify_structure_relation(bad, c_z2.counit)
 
 
+def test_extraction_refuses_a_block_that_is_not_a_representation(c_z2, c_z2_eval_triple):
+    # a 1e-9 shift passes the relation gate (residual 1.8e-9 <= 1e-8) but not TRIPLE_TOL
+    phi = structure_map_from_pair(c_z2_eval_triple, c_z2.counit)
+    mats = phi.mats.copy()
+    mats[:, 1:, 1:] += 1e-9 * np.eye(phi.dim - 1)
+    bad = OperatorMap(c_z2, mats)
+    assert verify_structure_relation(bad, c_z2.counit) <= RELATION_GATE
+    with pytest.raises(NotStructureMapError, match="not a \\*-representation: triple is invalid: pi_product") as exc:
+        extract_implementing_pair(bad, c_z2.counit)
+    assert exc.value.residual == np.inf
+
+
 def test_phi_at_unit_zero_iff_pi_unital(c_z2, group_s3):
     unital = character_triple(group_s3, 0, 0.8)
     phi = structure_map_from_pair(unital, group_s3.counit)
@@ -118,26 +129,33 @@ def test_phi_at_unit_zero_iff_pi_unital(c_z2, group_s3):
     # pi(b) = chi(b) E11 on C^2 is multiplicative and *-preserving but not unital
     pi = np.zeros((c_z2.dim, 2, 2), dtype=complex)
     pi[:, 0, 0] = c_z2.characters[1]
-    nonunital = ImplementingTriple(source=c_z2, pi=pi, xi=np.array([0.3, -0.2j]))
-    assert nonunital.validate() is None  # unitality is not required
+    nonunital = ImplementingTriple(source=c_z2, pi=pi, xi=np.array([0.3, -0.2j]))  # unitality is not required
     assert np.max(np.abs(np.einsum("i,iab->ab", c_z2.unit, pi) - np.eye(2))) > 0.5
     phi = structure_map_from_pair(nonunital, c_z2.counit)
     assert np.max(np.abs(phi.at_unit())) > 0.5
 
 
-def test_validate_rejects_non_representation(c_z2):
+def test_triple_refuses_non_representation(c_z2):
     pi = np.zeros((2, 1, 1), dtype=complex)
     pi[:, 0, 0] = [1.0, 0.5]  # not multiplicative for indicators
-    triple = ImplementingTriple(source=c_z2, pi=pi, xi=np.array([1.0]))
-    with pytest.raises(ValueError):
-        triple.validate()
+    with pytest.raises(ValueError, match=r"^triple is invalid: pi_product residual .* > 1e-10$"):
+        ImplementingTriple(source=c_z2, pi=pi, xi=np.array([1.0]))
 
 
-def test_validate_rejects_non_finite_isometry(group_z2):
-    d_mat = np.array([[np.nan], [0.0]], dtype=complex)
-    triple = ImplementingTriple(source=group_z2, pi=group_z2.rep, xi=np.array([0.5, 0.1]), D=d_mat)
-    with pytest.raises(ValueError, match="isometry"):
-        triple.validate()
+def test_triple_refuses_non_star_preserving_pi(group_z2):
+    # pi(e) = I and pi(g) = [[1, 1], [0, -1]] square to I, so pi is multiplicative, but pi(g)* != pi(g^-1)
+    pi = np.array([np.eye(2), [[1.0, 1.0], [0.0, -1.0]]], dtype=complex)
+    product, _ = group_z2.homomorphism_defects(pi)
+    assert np.max(np.abs(product)) == 0.0
+    with pytest.raises(ValueError, match=r"^triple is invalid: pi_star residual .* > 1e-10$"):
+        ImplementingTriple(source=group_z2, pi=pi, xi=np.array([0.5, 0.1]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1.0 + 2e-10], ids=["nan", "above-bar"])
+def test_triple_refuses_non_isometry(group_z2, entry):
+    d_mat = np.array([[entry], [0.0]], dtype=complex)
+    with pytest.raises(ValueError, match=r"^triple is invalid: isometry residual .* > 1e-10$"):
+        ImplementingTriple(source=group_z2, pi=group_z2.rep, xi=np.array([0.5, 0.1]), D=d_mat)
 
 
 @pytest.mark.parametrize("d_mat", [np.zeros((2, 0)), [[]], []], ids=["2x0", "nested-empty", "empty"])
