@@ -23,22 +23,17 @@ _EXPORTS = {
     ),
     "cbnorm": ("amplified_norm",),
     "cocycle": ("CocycleEvaluator", "assoc_generator"),
-    "convolution": (
-        "ConvolutionSemigroup", "DimensionCapExceeded", "check_compatibility", "convolve_functionals",
-    ),
+    "convolution": ("ConvolutionSemigroup", "check_compatibility", "convolve_functionals"),
     "experiment": ("ConfigError", "ExperimentConfig", "run_sweep", "run_verify", "write_demo"),
-    "fock": (
-        "PartitionMismatch", "StepFunction", "step_function_from_payload", "walk_matrix_element",
-    ),
-    "groups": ("FiniteGroup", "GroupTableError", "cyclic_group", "symmetric_group"),
+    "fock": ("StepFunction", "step_function_from_payload", "walk_matrix_element"),
+    "groups": ("FiniteGroup", "cyclic_group", "symmetric_group"),
     "serialize": ("FormatError",),
     "structure_maps": (
         "ImplementingTriple", "NotStructureMapError", "OperatorMap", "extract_implementing_pair",
         "structure_map_from_pair", "verify_cp_decomposition", "verify_structure_relation",
     ),
     "walk": (
-        "StepSizeError", "build_unitary", "build_walk", "error_terms", "verify_error_identity",
-        "vector_state_check",
+        "build_unitary", "build_walk", "error_terms", "verify_error_identity", "vector_state_check",
     ),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}

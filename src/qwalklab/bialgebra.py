@@ -359,7 +359,7 @@ def load_bialgebra(path) -> CounitalBialgebra:
     b = bialgebra_from_payload(read_json(path))
     report = verify_bialgebra(b)
     for axiom, residual in report["residuals"].items():
-        if residual > TOLERANCES["axioms"]:
+        if not residual <= TOLERANCES["axioms"]:  # a NaN residual fails too
             index = report["worst_index"][axiom][0]
             raise FormatError(f"{axiom} violated at basis index {index} (residual {residual:.3e})")
     sigma_min = report["injectivity_sigma_min"]

@@ -34,7 +34,6 @@ from .linalg import as_complex_array, expm, opnorms
 from .structure_maps import OperatorMap
 
 __all__ = [
-    "DimensionCapExceeded",
     "MAX_LIFTED_ENTRIES",
     "convolve_functionals",
     "transfer_matrix",
@@ -46,17 +45,13 @@ __all__ = [
 MAX_LIFTED_ENTRIES = 2**24
 
 
-class DimensionCapExceeded(RuntimeError):
-    """An array would hold more than MAX_LIFTED_ENTRIES complex entries."""
-
-
 def _check_entries(rows: int, k: int, n: int = 1):
     """Refuse an array of rows x k^n x k^n complex entries past MAX_LIFTED_ENTRIES.
 
     Past n = 12 any k > 1 exceeds the bound, so the power is taken at n <= 13 only.
     """
     if rows * k ** (2 * min(n, 13)) > MAX_LIFTED_ENTRIES:
-        raise DimensionCapExceeded(
+        raise ValueError(
             f"{rows} x {k}^{2 * n} complex entries are more than the fixed bound of {MAX_LIFTED_ENTRIES}"
         )
 

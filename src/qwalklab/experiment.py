@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,15 +29,8 @@ from .bialgebra import (
 )
 from .cbnorm import _check_ascent_size, amplified_norm
 from .cocycle import CocycleEvaluator, assoc_generator
-from .convolution import (
-    ConvolutionSemigroup,
-    DimensionCapExceeded,
-    _check_entries,
-    check_compatibility,
-    convolve_functionals,
-)
+from .convolution import ConvolutionSemigroup, _check_entries, check_compatibility, convolve_functionals
 from .fock import (
-    PartitionMismatch,
     StepFunction,
     _cell_count,
     _validate_alignment,
@@ -52,7 +46,6 @@ from .groups import (
 )
 from .linalg import as_complex_array, opnorms
 from .serialize import (
-    FormatError,
     decode_complex_array,
     encode_complex_array,
     finite_number,
@@ -72,7 +65,7 @@ from .structure_maps import (
     verify_structure_relation,
     OperatorMap,
 )
-from .walk import StepSizeError, build_unitary, build_walk, gap_map, verify_error_identity, vector_state_check
+from .walk import build_unitary, build_walk, gap_map, verify_error_identity, vector_state_check
 
 __all__ = [
     "ConfigError",
@@ -110,6 +103,15 @@ MAX_PAIR_EXPONENT = 700.0
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+@contextmanager
+def _invalid(field: str):
+    """Refuse a bad value of field: a TypeError, ValueError or OverflowError inside becomes a ConfigError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {field}: {exc}") from exc
 
 
 def _string(value) -> str:
@@ -271,10 +273,8 @@ def _fields(payload: dict, section: str | None = None) -> dict:
     out = {}
     for key, (rule, default) in FIELDS[section].items():
         if key in payload:
-            try:
+            with _invalid(f"{key!r}{where}"):
                 out[key] = rule(payload[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"invalid {key!r}{where}: {exc}") from exc
         elif default is _REQUIRED:
             raise ConfigError(f"missing {key!r}{where}")
         else:
@@ -309,14 +309,10 @@ def resolve_bialgebra(section, base_dir: Path) -> CounitalBialgebra:
     if named not in ({"builtin", "group"}, {"file"}):
         raise ConfigError("'bialgebra' needs a 'builtin' and a 'group', or a 'file' alone")
     if named == {"file"}:
-        try:
+        with _invalid("'file' in 'bialgebra'"):
             return load_bialgebra(base_dir.joinpath(section["file"]))
-        except FormatError as exc:
-            raise ConfigError(f"invalid 'file' in 'bialgebra': {exc}") from exc
-    try:
+    with _invalid("'group' in 'bialgebra'"):
         group, characters = _resolve_group(section["group"], base_dir)
-    except (TypeError, ValueError) as exc:  # a GroupTableError, FormatError or malformed table
-        raise ConfigError(f"invalid 'group' in 'bialgebra': {exc}") from exc
     if section["builtin"] == "function_algebra":
         return build_function_algebra(group)
     return build_group_algebra(group, extra_characters=characters)
@@ -350,18 +346,14 @@ class ExperimentConfig:
             pi = b.rep
         elif isinstance(pi, int):
             pi = b.characters[pi].reshape(-1, 1, 1)
-        try:
+        with _invalid("'triple'"):
             triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=cfg["triple"]["xi"], D=cfg["triple"]["D"])
             _check_ascent_size(b, triple.noise_dim + 1)
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'triple': {exc}") from exc
         noise_dim = triple.noise_dim
         sweep = cfg["sweep"]
         h_values = tuple(sweep["h0"] * sweep["ratio"] ** k for k in range(sweep["count"]))
-        try:  # h0 is the largest swept step length
+        with _invalid("'sweep'"):  # h0 is the largest swept step length
             build_unitary(triple.xi, h_values[0])
-        except StepSizeError as exc:
-            raise ConfigError(f"invalid 'sweep': {exc}") from exc
         horizon = cfg["time_horizon"]
         times = (horizon,) if cfg["sample_times"] is None else cfg["sample_times"]
         if any(t < 0 or t > horizon + 1e-9 for t in times):
@@ -380,11 +372,9 @@ class ExperimentConfig:
                         f"invalid 'step_function_pairs': pair {k} has noise dimension {fn.noise_dim}, "
                         f"triple expects {noise_dim}"
                     )
-                for h, grid_end in zip(h_values, grid_ends):  # the sweep's own alignment rule, applied before any run
-                    try:
+                with _invalid(f"'step_function_pairs': pair {k}"):
+                    for h, grid_end in zip(h_values, grid_ends):  # the sweep's own alignment rule, before any run
                         _validate_alignment(fn, h, grid_end)
-                    except PartitionMismatch as exc:
-                        raise ConfigError(f"invalid 'step_function_pairs': pair {k}: {exc}") from exc
             exponent = _pair_exponent(*pair)
             if exponent > MAX_PAIR_EXPONENT:
                 raise ConfigError(
@@ -401,10 +391,8 @@ class ExperimentConfig:
                 "evaluations, more than {}".format(*factors, math.prod(factors), MAX_SWEEP_EVALUATIONS)
             )
         depth = cfg["compatibility_depth"]
-        try:  # the lifted iterate, the largest array the compatibility check builds
+        with _invalid("'compatibility_depth'"):  # the lifted iterate, the largest array the compatibility check builds
             _check_entries(b.dim**2, noise_dim + 1, depth)
-        except DimensionCapExceeded as exc:
-            raise ConfigError(f"invalid 'compatibility_depth': {exc}") from exc
         return cls(
             bialgebra=b,
             chi=chi,

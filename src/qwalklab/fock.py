@@ -37,7 +37,6 @@ from .serialize import FormatError, decode_complex_array, finite_number
 from .structure_maps import OperatorMap, hat
 
 __all__ = [
-    "PartitionMismatch",
     "StepFunction",
     "walk_matrix_element",
     "step_function_from_payload",
@@ -45,10 +44,6 @@ __all__ = [
 
 #: relative tolerance for grid/partition alignment
 ALIGN_RTOL = 1e-9
-
-
-class PartitionMismatch(ValueError):
-    """A step function is not constant on the cells of the requested grid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +128,7 @@ def _validate_alignment(f: StepFunction, h: float, horizon: float):
     """Every breakpoint of f before the horizon lies on the h-grid."""
     for t in f.breakpoints:
         if t < horizon * (1 - ALIGN_RTOL) and not _on_grid(float(t), h):
-            raise PartitionMismatch(
+            raise ValueError(
                 f"step-function breakpoint {t:g} is not a multiple of h = {h:g}; "
                 "the grid must refine the step partition"
             )

@@ -9,7 +9,6 @@ import numpy as np
 from .serialize import FormatError, integer, labels_and_name, only_keys
 
 __all__ = [
-    "GroupTableError",
     "FiniteGroup",
     "cyclic_group",
     "symmetric_group",
@@ -18,10 +17,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 64
-
-
-class GroupTableError(ValueError):
-    """Raised when a multiplication table fails a group axiom."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,28 +39,28 @@ class FiniteGroup:
         table = np.asarray(self.table, dtype=np.int64)
         n = table.shape[0] if table.ndim == 2 else 0
         if table.ndim != 2 or table.shape != (n, n) or n == 0:
-            raise GroupTableError("multiplication table must be square and nonempty")
+            raise ValueError("multiplication table must be square and nonempty")
         if n > MAX_ORDER:
-            raise GroupTableError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+            raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
         if table.min() < 0 or table.max() >= n:
-            raise GroupTableError("table entries must be indices in [0, order)")
+            raise ValueError("table entries must be indices in [0, order)")
         ident = np.arange(n)
         for kind, lines in (("row", table), ("column", table.T)):
             bad = (np.sort(lines, axis=1) != ident).any(axis=1)
             if bad.any():
-                raise GroupTableError(f"{kind} {int(np.argmax(bad))} of the table is not a permutation")
+                raise ValueError(f"{kind} {int(np.argmax(bad))} of the table is not a permutation")
         i, j, k = np.ogrid[:n, :n, :n]
         lhs = table[table[i, j], k]
         rhs = table[i, table[j, k]]
         if not np.array_equal(lhs, rhs):
             i0, j0, k0 = np.argwhere(lhs != rhs)[0]
-            raise GroupTableError(f"associativity fails at triple ({i0}, {j0}, {k0})")
+            raise ValueError(f"associativity fails at triple ({i0}, {j0}, {k0})")
         # a nonempty associative Latin square is a group: its one idempotent is
         # the identity, and every row holds the identity once
         e = int(np.argmax(np.diagonal(table) == ident))
         inverse = np.argmax(table == e, axis=1)
         if len(self.labels) != n:
-            raise GroupTableError("label count does not match order")
+            raise ValueError("label count does not match order")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", e)
         object.__setattr__(self, "inverse", inverse)
@@ -94,14 +89,14 @@ class FiniteGroup:
                 raise FormatError(f"mult_table length {len(flat)} != order^2 = {order * order}")
             labels, name = labels_and_name(payload, order, "g", "G")
         except (KeyError, TypeError, FormatError) as exc:
-            raise GroupTableError(f"malformed group payload: {exc}") from exc
+            raise FormatError(f"malformed group payload: {exc}") from exc
         return cls(table=np.asarray(flat, dtype=np.int64).reshape(order, order), labels=labels, name=name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Cyclic group of order n, element i representing the i-th power of the generator."""
     if not 1 <= n <= MAX_ORDER:
-        raise GroupTableError(f"order {n} outside the supported range 1..{MAX_ORDER}")
+        raise ValueError(f"order {n} outside the supported range 1..{MAX_ORDER}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = tuple("e" if i == 0 else f"g{i}" for i in range(n))
@@ -135,7 +130,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     """Symmetric group S_n on {0, ..., n-1} in lexicographic permutation order."""
     perms = _permutations(n)
     if len(perms) > MAX_ORDER:  # before perms[:, perms], which holds n (n!)^2 entries
-        raise GroupTableError(f"order {len(perms)} exceeds supported maximum {MAX_ORDER}")
+        raise ValueError(f"order {len(perms)} exceeds supported maximum {MAX_ORDER}")
     # (p o q)(x) = p(q(x)); lexicographic order is the order of the base-n keys p @ place
     place = n ** np.arange(n - 1, -1, -1)
     table = np.searchsorted(perms @ place, perms[:, perms] @ place)

@@ -35,7 +35,6 @@ from .linalg import as_complex_array, compress, dag, opnorms
 from .structure_maps import ImplementingTriple, OperatorMap, structure_map_from_pair
 
 __all__ = [
-    "StepSizeError",
     "build_unitary",
     "build_walk",
     "error_terms",
@@ -45,10 +44,6 @@ __all__ = [
 ]
 
 
-class StepSizeError(ValueError):
-    """h ||xi||^2 > 1: the walk unitary does not exist at this step length."""
-
-
 def build_unitary(xi, h: float) -> np.ndarray:
     """The read-only one-step unitary U; requires h ||xi||^2 <= 1 (strict, no clamping).
 
@@ -56,10 +51,10 @@ def build_unitary(xi, h: float) -> np.ndarray:
     """
     xi = np.atleast_1d(as_complex_array(xi))
     if h <= 0:
-        raise StepSizeError(f"step length h = {h} must be positive")
+        raise ValueError(f"step length h = {h} must be positive")
     norm_sq = float(np.real(np.vdot(xi, xi)))
     if h * norm_sq > 1.0:
-        raise StepSizeError(
+        raise ValueError(
             f"h * ||xi||^2 = {h * norm_sq:.6g} > 1: step length too large for the "
             "walk unitary (the rotation angle would leave [0, pi/2])"
         )

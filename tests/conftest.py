@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qwalklab import (
+    CounitalBialgebra,
     ExperimentConfig,
     ImplementingTriple,
     build_function_algebra,
@@ -12,6 +13,7 @@ from qwalklab import (
     cyclic_group,
     symmetric_group,
 )
+from qwalklab.bialgebra import bialgebra_to_payload
 from qwalklab.experiment import _demo_payload
 from qwalklab.groups import cyclic_character_table, symmetric_sign_character
 
@@ -24,6 +26,29 @@ def with_src(env=None) -> dict:
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return env
+
+
+def overflowing_file_payload(b: CounitalBialgebra) -> dict:
+    """The bialgebra-v1 payload of b in the basis b' = 1e160 b, with faithful_rep[1] set to 1.5e160 sigma_x.
+
+    That rep is not a representation, and its residual, like the associativity and characters
+    residuals, overflows to NaN (inf - inf) when verify_bialgebra forms it.  b is C[Z2].
+    """
+    s = 1e160
+    rep = s * b.rep
+    rep[1] = 1.5e160 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    scaled = CounitalBialgebra(
+        name=b.name,
+        labels=b.labels,
+        mult=s * b.mult,
+        invol=b.invol,
+        unit=b.unit / s,
+        coproduct=b.coproduct / s,
+        counit=s * b.counit,
+        characters=s * b.characters,
+        rep=rep,
+    )
+    return bialgebra_to_payload(scaled)
 
 
 @pytest.fixture(scope="session")

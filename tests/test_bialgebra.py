@@ -10,9 +10,10 @@ from qwalklab import (
 )
 from qwalklab.bialgebra import bialgebra_from_payload, bialgebra_to_payload
 from qwalklab.groups import cyclic_group, symmetric_group, symmetric_sign_character
-from qwalklab.serialize import FormatError, write_json
+from qwalklab.serialize import FormatError, read_json, write_json
 from qwalklab.structure_maps import _star_product_tensor
 
+from .conftest import overflowing_file_payload
 from .oracles import coassoc_residual, counit_residual
 
 AXIOM_TOL = 1e-12
@@ -163,6 +164,18 @@ def test_violation_message_carries_index_and_residual(c_z2, tmp_path):
     write_json(path, broken_payload)
     with pytest.raises(FormatError, match=r"^associativity violated at basis index \d+ \(residual \d\.\d{3}e[+-]\d\d\)$"):
         load_bialgebra(path)
+
+
+def test_nan_residual_fails_its_axiom(group_z2, tmp_path):
+    # NaN > tolerance is False: a NaN residual must fail the bar all the same
+    path = tmp_path / "overflowing.json"
+    write_json(path, overflowing_file_payload(group_z2))
+    with np.errstate(all="ignore"):
+        residuals = verify_bialgebra(bialgebra_from_payload(read_json(path)))["residuals"]
+        nan = [axiom for axiom, r in residuals.items() if np.isnan(r)]
+        assert nan == ["associativity", "characters", "representation"]
+        with pytest.raises(FormatError, match=r"^associativity violated at basis index 0 \(residual nan\)$"):
+            load_bialgebra(path)
 
 
 def test_save_load_round_trip(group_s3, tmp_path):

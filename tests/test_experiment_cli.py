@@ -38,7 +38,7 @@ from qwalklab.groups import symmetric_group, symmetric_sign_character
 from qwalklab.serialize import read_json, write_json
 from qwalklab.structure_maps import default_decomposition_vector
 
-from .conftest import with_src
+from .conftest import overflowing_file_payload, with_src
 
 
 def base_payload(**over):
@@ -107,6 +107,24 @@ def test_config_label_falls_back_to_stem(tmp_path):
                 ]
             },
             "noise dimension",
+        ),
+        # the exact lines of refusals that a library ValueError becomes
+        (
+            {"compatibility_depth": 12},
+            "^" + re.escape(
+                "invalid 'compatibility_depth': 4 x 2^24 complex entries are more than the fixed bound of 16777216"
+            ) + "$",
+        ),
+        (
+            {"step_function_pairs": [{"f": [[0.3, [0.5, 0.0]], [0.7, [0.1, 0.0]]], "g": [[1.0, [0.25, 0.0]]]}]},
+            "^" + re.escape(
+                "invalid 'step_function_pairs': pair 0: step-function breakpoint 0.3 is not a multiple of "
+                "h = 0.25; the grid must refine the step partition"
+            ) + "$",
+        ),
+        (
+            {"bialgebra": {"builtin": "group_algebra", "group": "z65"}},
+            "^" + re.escape("invalid 'group' in 'bialgebra': order 65 outside the supported range 1..64") + "$",
         ),
     ],
 )
@@ -345,6 +363,19 @@ def test_cli_bialgebra_file_failing_an_axiom_exits_two(tmp_path, capsys, command
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: invalid 'file' in 'bialgebra': counit_law violated at basis index 0 (residual 1.000e-03)\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_bialgebra_file_with_a_nan_residual_exits_two(tmp_path, capsys, command, group_z2):
+    # the file, not the triple built on it, is named: a NaN axiom residual fails the file's check
+    write_json(tmp_path / "bialgebra.json", overflowing_file_payload(group_z2))
+    payload = base_payload(bialgebra={"file": "bialgebra.json"}, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
+    config = write_config(tmp_path, payload)
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid 'file' in 'bialgebra': associativity violated at basis index 0 (residual nan)\n"
     assert not (tmp_path / "report.json").exists()
 
 
@@ -807,6 +838,18 @@ def test_cli_group_file_of_another_format_exits_two(tmp_path, capsys, command):
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
     expected = "invalid 'group' in 'bialgebra': malformed group payload: unsupported group format 'bialgebra-v1'"
     assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_group_file_failing_a_group_axiom_exits_two(tmp_path, capsys, command):
+    # a well-formed group-v1 file whose table is no Latin square is refused like an undecodable one
+    write_json(tmp_path / "g.json", {"order": 2, "mult_table": [0, 1, 1, 1]})
+    section = {"builtin": "group_algebra", "group": {"file": "g.json"}}
+    payload = base_payload(bialgebra=section, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: invalid 'group' in 'bialgebra': row 1 of the table is not a permutation\n"
     assert not (tmp_path / "report.json").exists()
 
 

@@ -4,7 +4,6 @@ import pytest
 import qwalklab.fock as fock
 from qwalklab import (
     FormatError,
-    PartitionMismatch,
     StepFunction,
     build_walk,
     step_function_from_payload,
@@ -74,7 +73,7 @@ def test_step_hat_vectors_closed_form():
 def test_partition_mismatch_raises(group_z2, z2_sign_triple):
     psi = build_walk(z2_sign_triple, group_z2.counit, 0.25)
     f = StepFunction(durations=[0.3, 0.7], values=[[1.0], [0.0]])
-    with pytest.raises(PartitionMismatch):
+    with pytest.raises(ValueError, match="breakpoint 0.3 is not a multiple of h = 0.25"):
         walk_matrix_element(psi, 1, f, f, 1.0, 0.25)
     # breakpoints beyond the horizon are irrelevant
     g = StepFunction(durations=[0.5, 0.3], values=[[1.0], [0.0]])

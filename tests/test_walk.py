@@ -7,7 +7,6 @@ import qwalklab.walk as walk
 from qwalklab import (
     ImplementingTriple,
     OperatorMap,
-    StepSizeError,
     build_unitary,
     build_walk,
     error_terms,
@@ -63,11 +62,11 @@ def test_boundary_step_is_allowed():
 
 
 def test_oversize_step_rejected():
-    with pytest.raises(StepSizeError):
+    with pytest.raises(ValueError, match=r"h \* \|\|xi\|\|\^2 = 1\.04 > 1"):
         build_unitary([2.0], 0.26)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(ValueError, match="must be positive"):
         build_unitary([1.0], 0.0)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(ValueError, match="must be positive"):
         build_unitary([1.0], -0.1)
 
 
