@@ -24,12 +24,12 @@ _EXPORTS = {
     "cbnorm": ("amplified_norm",),
     "cocycle": ("CocycleEvaluator", "assoc_generator"),
     "convolution": ("ConvolutionSemigroup", "check_compatibility", "convolve_functionals"),
-    "experiment": ("ConfigError", "ExperimentConfig", "run_sweep", "run_verify", "write_demo"),
+    "experiment": ("ExperimentConfig", "run_sweep", "run_verify", "write_demo"),
     "fock": ("StepFunction", "step_function_from_payload", "walk_matrix_element"),
     "groups": ("FiniteGroup", "cyclic_group", "symmetric_group"),
     "serialize": ("FormatError",),
     "structure_maps": (
-        "ImplementingTriple", "NotStructureMapError", "OperatorMap", "extract_implementing_pair",
+        "ImplementingTriple", "OperatorMap", "extract_implementing_pair",
         "structure_map_from_pair", "verify_cp_decomposition", "verify_structure_relation",
     ),
     "walk": (

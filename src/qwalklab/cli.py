@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .experiment import (
     DEMO_NAMES,
-    ConfigError,
     ExperimentConfig,
     REPORT_SCHEMA,
     RunResult,
@@ -133,7 +132,7 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         if args.command == "demo":
             return _cmd_demo(args)
-    except (ConfigError, FormatError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -26,7 +26,7 @@ __all__ = [
 
 
 class FormatError(ValueError):
-    """Malformed structured-text input (parse or shape errors)."""
+    """Input the program refuses: malformed structured text, or a config or file that is invalid or inconsistent."""
 
 
 def encode_complex_array(arr) -> list:

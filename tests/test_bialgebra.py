@@ -170,12 +170,11 @@ def test_nan_residual_fails_its_axiom(group_z2, tmp_path):
     # NaN > tolerance is False: a NaN residual must fail the bar all the same
     path = tmp_path / "overflowing.json"
     write_json(path, overflowing_file_payload(group_z2))
-    with np.errstate(all="ignore"):
-        residuals = verify_bialgebra(bialgebra_from_payload(read_json(path)))["residuals"]
-        nan = [axiom for axiom, r in residuals.items() if np.isnan(r)]
-        assert nan == ["associativity", "characters", "representation"]
-        with pytest.raises(FormatError, match=r"^associativity violated at basis index 0 \(residual nan\)$"):
-            load_bialgebra(path)
+    residuals = verify_bialgebra(bialgebra_from_payload(read_json(path)))["residuals"]
+    nan = [axiom for axiom, r in residuals.items() if np.isnan(r)]
+    assert nan == ["associativity", "characters", "representation"]
+    with pytest.raises(FormatError, match=r"^associativity violated at basis index 0 \(residual nan\)$"):
+        load_bialgebra(path)
 
 
 def test_save_load_round_trip(group_s3, tmp_path):

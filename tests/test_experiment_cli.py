@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from qwalklab import (
-    ConfigError,
     ExperimentConfig,
+    FormatError,
     run_sweep,
     run_verify,
     verify_bialgebra,
@@ -129,7 +129,7 @@ def test_config_label_falls_back_to_stem(tmp_path):
     ],
 )
 def test_config_rejections(tmp_path, over, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(FormatError, match=match):
         ExperimentConfig.from_payload(base_payload(**over), tmp_path)
 
 
@@ -372,11 +372,25 @@ def test_cli_bialgebra_file_with_a_nan_residual_exits_two(tmp_path, capsys, comm
     write_json(tmp_path / "bialgebra.json", overflowing_file_payload(group_z2))
     payload = base_payload(bialgebra={"file": "bialgebra.json"}, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
     config = write_config(tmp_path, payload)
-    with np.errstate(all="ignore"):
-        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: invalid 'file' in 'bialgebra': associativity violated at basis index 0 (residual nan)\n"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_python_dash_m_bialgebra_file_with_a_nan_residual_prints_one_line(tmp_path, group_z2):
+    # the overflow that makes the residual NaN is no numpy warning on stderr: the refusal is its one line
+    write_json(tmp_path / "bialgebra.json", overflowing_file_payload(group_z2))
+    payload = base_payload(bialgebra={"file": "bialgebra.json"}, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
+    config = write_config(tmp_path, payload)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwalklab", "verify", "--config", str(config), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=with_src(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid 'file' in 'bialgebra': associativity violated at basis index 0 (residual nan)\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -682,7 +696,7 @@ def test_a_step_function_past_the_segment_bound_exits_two(tmp_path, capsys, comm
 def test_segment_bound_belongs_to_the_config_reader(tmp_path, segments):
     payload = _with_segments(segments, 1)
     assert len(step_function_from_payload(payload["step_function_pairs"][0]["f"]).durations) == segments
-    with pytest.raises(ConfigError, match=f"invalid 'step_function_pairs': .* got {segments}$"):
+    with pytest.raises(FormatError, match=f"invalid 'step_function_pairs': .* got {segments}$"):
         ExperimentConfig.from_payload(payload, tmp_path)
 
 
@@ -719,7 +733,7 @@ def test_generated_field_is_refused_before_the_bialgebra_is_built(tmp_path, monk
         pytest.fail("the bialgebra was built before a malformed field was refused")
 
     monkeypatch.setattr("qwalklab.experiment.resolve_bialgebra", unreachable)
-    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+    with pytest.raises(FormatError, match=re.escape(repr(key))):
         ExperimentConfig.from_payload(_with_field(section, key, value), tmp_path)
 
 

@@ -57,9 +57,10 @@ def test_relabelled_group_finds_identity_and_inverses_anywhere():
 
 
 def test_non_associative_table_rejected():
-    table = np.array([[0, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        FiniteGroup(table=table, labels=("e", "g"), name="bad")
+    # x o y = -x - y mod 3: a Latin square, so the associativity check is the one that refuses it
+    table = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    with pytest.raises(ValueError, match=r"^associativity fails at triple \(0, 0, 1\)$"):
+        FiniteGroup(table=table, labels=("a", "b", "c"), name="bad")
 
 
 def test_non_latin_table_rejected():

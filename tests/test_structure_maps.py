@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from qwalklab import (
     ImplementingTriple,
-    NotStructureMapError,
     OperatorMap,
     extract_implementing_pair,
     structure_map_from_pair,
     verify_cp_decomposition,
     verify_structure_relation,
 )
-from qwalklab.structure_maps import RELATION_GATE, cp_block_matrix, default_decomposition_vector, hat
+from qwalklab.structure_maps import cp_block_matrix, default_decomposition_vector, hat
 
 from .oracles import cp_generator_blocks, structure_map_blocks
 
@@ -98,27 +97,24 @@ def test_extraction_takes_minimum_norm_vector(group_z2):
     assert report.roundtrip_residual < 1e-13
 
 
-def test_perturbed_map_is_rejected(c_z2, c_z2_eval_triple):
+def test_perturbed_map_reports_its_round_trip(c_z2, c_z2_eval_triple):
+    # a shifted gamma entry leaves the lower-right block a *-representation: extraction reports, it does not raise
     phi = structure_map_from_pair(c_z2_eval_triple, c_z2.counit)
     mats = phi.mats.copy()
-    mats[:, 1:, 1:] += 0.1 * np.eye(phi.dim - 1)
+    mats[:, 0, 0] += 0.1
     bad = OperatorMap(c_z2, mats)
     assert verify_structure_relation(bad, c_z2.counit) > 0.05
-    with pytest.raises(NotStructureMapError) as exc:
-        extract_implementing_pair(bad, c_z2.counit)
-    assert exc.value.residual == verify_structure_relation(bad, c_z2.counit)
+    report = extract_implementing_pair(bad, c_z2.counit)
+    assert report.roundtrip_residual > 0.05
 
 
 def test_extraction_refuses_a_block_that_is_not_a_representation(c_z2, c_z2_eval_triple):
-    # a 1e-9 shift passes the relation gate (residual 1.8e-9 <= 1e-8) but not TRIPLE_TOL
+    # a 1e-9 shift of the lower-right block fails the triple's TRIPLE_TOL
     phi = structure_map_from_pair(c_z2_eval_triple, c_z2.counit)
     mats = phi.mats.copy()
     mats[:, 1:, 1:] += 1e-9 * np.eye(phi.dim - 1)
-    bad = OperatorMap(c_z2, mats)
-    assert verify_structure_relation(bad, c_z2.counit) <= RELATION_GATE
-    with pytest.raises(NotStructureMapError, match="not a \\*-representation: triple is invalid: pi_product") as exc:
-        extract_implementing_pair(bad, c_z2.counit)
-    assert exc.value.residual == np.inf
+    with pytest.raises(ValueError, match="^triple is invalid: pi_product"):
+        extract_implementing_pair(OperatorMap(c_z2, mats), c_z2.counit)
 
 
 def test_phi_at_unit_zero_iff_pi_unital(c_z2, group_s3):

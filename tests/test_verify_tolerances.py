@@ -5,10 +5,10 @@ import math
 import pytest
 
 import qwalklab.experiment as experiment
-from qwalklab import ConfigError, ExperimentConfig, run_verify, write_demo
+from qwalklab import ExperimentConfig, run_verify, write_demo
 from qwalklab.cli import main
 from qwalklab.experiment import DEMO_NAMES, TOLERANCES, _demo_payload
-from qwalklab.serialize import read_json, write_json
+from qwalklab.serialize import FormatError, read_json, write_json
 
 #: the TOLERANCES key each verify check is measured against
 BAR_OF = {
@@ -92,7 +92,7 @@ def _counit_shifted(tmp_path, shift: float, index: int = 0):
 def test_bialgebra_file_is_loaded_at_the_table_axioms_bar(tmp_path, monkeypatch):
     # a 1e-11 counit defect fails the table's 1e-12, and passes once the table itself, not a config, says 1e-10
     config_path = _counit_shifted(tmp_path, 1e-11)
-    with pytest.raises(ConfigError, match="counit_law violated at basis index 0"):
+    with pytest.raises(FormatError, match="counit_law violated at basis index 0"):
         ExperimentConfig.from_file(config_path)
     monkeypatch.setitem(experiment.TOLERANCES, "axioms", 1e-10)
     entry = run_verify(ExperimentConfig.from_file(config_path)).report["checks"]["bialgebra_axioms"]
@@ -156,7 +156,7 @@ def test_retired_key_is_refused_before_the_bialgebra_is_built(tmp_path, monkeypa
         pytest.fail("the bialgebra was built before a retired key was refused")
 
     monkeypatch.setattr("qwalklab.experiment.resolve_bialgebra", unreachable)
-    with pytest.raises(ConfigError, match=f"^unknown key {key!r} in the config$"):
+    with pytest.raises(FormatError, match=f"^unknown key {key!r} in the config$"):
         ExperimentConfig.from_payload(_with_retired(key, value), tmp_path)
 
 
@@ -173,5 +173,5 @@ def test_cli_failed_extraction_on_a_cp_triple_is_a_failed_check(tmp_path, capsys
     entry = read_json(tmp_path / "report.json")["checks"]["extraction_roundtrip"]
     assert not entry["passed"]
     assert entry["residual"] > entry["tolerance"] == TOLERANCES["roundtrip"]
-    assert "kernel_dim" not in entry
+    assert entry["kernel_dim"] == 1
     assert "FAIL extraction_roundtrip" in capsys.readouterr().out
