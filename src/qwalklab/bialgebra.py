@@ -12,18 +12,20 @@ A bialgebra here is a basis b_0, ..., b_{n-1} together with
 
 No structure is inferred: every axiom is checked exhaustively on basis
 tuples by verify_bialgebra, and the file loader refuses data that fails
-any check.
+any check.  The type holds nothing derived from these tensors: the split
+of rep into irreducible blocks is linalg.irreducible_blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .groups import FiniteGroup
-from .linalg import as_complex_array, compress, dag, readonly, standard_normal
-from .serialize import FormatError, decode_complex_array, encode_complex_array, integer, labels_and_name, only_keys
+from .linalg import as_complex_array, dag, readonly
+from .serialize import (
+    FormatError, decode_complex_array, encode_complex_array, integer, invalid, labels_and_name, only_keys,
+)
 
 __all__ = [
     "CounitalBialgebra",
@@ -54,9 +56,30 @@ TOLERANCES = {
 #: value of b_i -> rep[i], as a map from the basis into matrices, lies above it
 FAITHFUL_SIGMA_MIN = 1e-8
 
-#: relative tolerance that separates eigenvalues, singular values and
-#: characters when rep is split into irreducible blocks
-_SPLIT_RTOL = 1e-8
+
+#: CounitalBialgebra field -> the key of its array in a bialgebra-v1 file
+_ARRAY_KEYS = {
+    "mult": "structure_constants",
+    "invol": "involution",
+    "unit": "unit",
+    "coproduct": "coproduct",
+    "counit": "counit",
+    "characters": "characters",
+    "rep": "faithful_rep",
+}
+
+
+def _structure_array(key: str, arr, n: int) -> np.ndarray:
+    """arr as the read-only complex array of field key of a bialgebra of dimension n; a wrong shape is refused."""
+    arr = readonly(np.atleast_2d(arr) if key == "characters" else arr)
+    first, last = (arr.shape[0], arr.shape[-1]) if arr.ndim else (0, 0)
+    expected = {
+        "mult": (n, n, n), "invol": (n, n), "unit": (n,), "coproduct": (n, n, n), "counit": (n,),
+        "characters": (first, n), "rep": (n, last, last),
+    }[key]
+    if arr.shape != expected:
+        raise FormatError(f"has shape {arr.shape}, expected {expected}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,27 +95,9 @@ class CounitalBialgebra:
     rep: np.ndarray
 
     def __post_init__(self):
-        n = len(self.labels)
-        arrays = {
-            "mult": (self.mult, (n, n, n)),
-            "invol": (self.invol, (n, n)),
-            "unit": (self.unit, (n,)),
-            "coproduct": (self.coproduct, (n, n, n)),
-            "counit": (self.counit, (n,)),
-        }
-        for key, (arr, shape) in arrays.items():
-            arr = readonly(arr)
-            if arr.shape != shape:
-                raise FormatError(f"{key} has shape {arr.shape}, expected {shape}")
-            object.__setattr__(self, key, arr)
-        chars = readonly(np.atleast_2d(self.characters))
-        if chars.shape[1] != n:
-            raise FormatError(f"characters have length {chars.shape[1]}, expected {n}")
-        object.__setattr__(self, "characters", chars)
-        rep = readonly(self.rep)
-        if rep.ndim != 3 or rep.shape[0] != n or rep.shape[1] != rep.shape[2]:
-            raise FormatError(f"rep has shape {rep.shape}, expected ({n}, m, m)")
-        object.__setattr__(self, "rep", rep)
+        for key in _ARRAY_KEYS:
+            with invalid(repr(key)):
+                object.__setattr__(self, key, _structure_array(key, getattr(self, key), len(self.labels)))
 
     @property
     def dim(self) -> int:
@@ -102,65 +107,12 @@ class CounitalBialgebra:
     def rep_dim(self) -> int:
         return self.rep.shape[1]
 
-    @cached_property
-    def block_rep(self) -> np.ndarray:
-        """rep compressed to its irreducible blocks, each taken once, block-diagonal.
-
-        b_i -> block_rep[i] is a faithful unital *-representation of the
-        same C*-algebra as rep, of size sum_j d_j with sum_j d_j^2 = dim;
-        computed on first use and kept.
-        """
-        return _irreducible_blocks(self.rep)
-
-    def basis_coeffs(self, i: int) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[i] = 1.0
-        return out
-
     def homomorphism_defects(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Defects of b_i -> mats[i] as a *-homomorphism: products [i, j, a, c] and stars [i, a, b]."""
         products = np.einsum("iab,jbc->ijac", mats, mats, optimize=True)
         images = np.einsum("ijk,kac->ijac", self.mult, mats, optimize=True)
         star = dag(mats) - np.einsum("ij,jab->iab", self.invol, mats)
         return products - images, star
-
-    def is_cocommutative(self) -> bool:
-        return bool(np.max(np.abs(self.coproduct - self.coproduct.transpose(0, 2, 1))) <= TOLERANCES["axioms"])
-
-    def is_commutative(self) -> bool:
-        return bool(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2))) <= TOLERANCES["axioms"])
-
-
-def _irreducible_blocks(rep: np.ndarray) -> np.ndarray:
-    """One copy of each irreducible subrepresentation of rep, block-diagonal.
-
-    A generic Hermitian a = sum_i c_i rep_i + h.c. has, in every
-    irreducible block, simple eigenvalues that no other block shares, so
-    an eigenvector v of each eigenvalue cluster lies in one irreducible
-    subspace, the cyclic span{rep_i v}.  The coefficients c are complex:
-    with real ones C[Z_n] has tied eigenvalues at k and -k.  They are
-    seeded standard normals from the stdlib generator (random.Random
-    through linalg.standard_normal), so that numpy's random module, about
-    6 MB of resident memory and 19 ms of import, stays out of every run.
-    Equivalent blocks have equal characters, and only the first of each
-    is kept.
-    """
-    z = standard_normal(0, (2, rep.shape[0]))
-    a = np.einsum("i,iab->ab", z[0] + 1j * z[1], rep)
-    evals, evecs = np.linalg.eigh(a + dag(a))
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    bases, chars = [], []
-    for k in np.flatnonzero(np.diff(evals, prepend=-np.inf) > _SPLIT_RTOL * scale):
-        u, s, _ = np.linalg.svd(np.einsum("iab,b->ai", rep, evecs[:, k]), full_matrices=False)
-        q = u[:, s > _SPLIT_RTOL * s[0]]
-        char = np.einsum("ak,iab,bk->i", np.conjugate(q), rep, q)
-        if all(np.max(np.abs(char - c)) > _SPLIT_RTOL * max(1.0, np.max(np.abs(c))) for c in chars):
-            bases.append(q)
-            chars.append(char)
-    q = np.concatenate(bases, axis=1)
-    blocks = compress(rep, q)
-    owner = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
-    return readonly(blocks * (owner[:, None] == owner[None, :]))
 
 
 def _worst(arr: np.ndarray) -> tuple[float, list]:
@@ -247,8 +199,8 @@ def verify_bialgebra(b: CounitalBialgebra) -> dict:
         "worst_index": worst,
         "max_residual": max(residuals.values()),
         "injectivity_sigma_min": sigma_min,
-        "cocommutative": b.is_cocommutative(),
-        "commutative": b.is_commutative(),
+        "cocommutative": bool(np.max(np.abs(c - c.transpose(0, 2, 1))) <= TOLERANCES["axioms"]),
+        "commutative": bool(np.max(np.abs(m - m.transpose(1, 0, 2))) <= TOLERANCES["axioms"]),
     }
 
 
@@ -310,18 +262,6 @@ def build_group_algebra(group: FiniteGroup, extra_characters=()) -> CounitalBial
     )
 
 
-#: CounitalBialgebra field -> the key of its array in a bialgebra-v1 file
-_ARRAY_KEYS = {
-    "mult": "structure_constants",
-    "invol": "involution",
-    "unit": "unit",
-    "coproduct": "coproduct",
-    "counit": "counit",
-    "characters": "characters",
-    "rep": "faithful_rep",
-}
-
-
 def bialgebra_to_payload(b: CounitalBialgebra) -> dict:
     arrays = {name: encode_complex_array(getattr(b, key)) for key, name in _ARRAY_KEYS.items()}
     return {"format": "bialgebra-v1", "name": b.name, "dim": b.dim, "labels": list(b.labels), **arrays}
@@ -333,16 +273,20 @@ def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
     only_keys(payload, ("format", "name", "dim", "labels", *_ARRAY_KEYS.values()))
     try:
         dim = payload["dim"]
-        fields = {key: decode_complex_array(payload[name]) for key, name in _ARRAY_KEYS.items()}
+        fields = {}
+        for key, name in _ARRAY_KEYS.items():
+            with invalid(repr(name)):
+                fields[key] = decode_complex_array(payload[name])
     except KeyError as exc:
         raise FormatError(f"missing bialgebra field {exc.args[0]!r}") from exc
-    try:
+    with invalid("'dim'"):
         integer(dim)
-    except FormatError as exc:
-        raise FormatError(f"invalid 'dim': {exc}") from exc
     shape = fields["mult"].shape
     if shape[:1] != (dim,):  # before labels_and_name builds anything of length dim
         raise FormatError(f"invalid 'dim': {dim} does not match the structure constants of shape {shape}")
+    for key, name in _ARRAY_KEYS.items():
+        with invalid(repr(name)):
+            fields[key] = _structure_array(key, fields[key], dim)
     labels, name = labels_and_name(payload, dim, "b", "B")
     return CounitalBialgebra(name=name, labels=labels, **fields)
 

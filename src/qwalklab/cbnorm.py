@@ -4,11 +4,12 @@ For a map theta from the bialgebra into K x K matrices the completely
 bounded norm equals the operator norm of theta (x) id_{M_K}.  It depends
 only on the C*-algebra B, not on the faithful representation that holds
 it (a faithful *-isomorphism is a complete isometry), so the amplified
-map acts on B's irreducible blocks, each taken once (block_rep: C[S3]'s
-6 x 6 regular representation becomes 1 + 1 + 2).  Inputs are first
-pressed through the Hilbert-Schmidt conditional expectation onto
-block_rep(B) (x) M_K, which is completely contractive and restricts to
-the identity, so the composite has the same norm as the restriction.
+map acts on B's irreducible blocks, each taken once (the frame's blocks,
+linalg.irreducible_blocks: C[S3]'s 6 x 6 regular representation becomes
+1 + 1 + 2).  Inputs are first pressed through the Hilbert-Schmidt
+conditional expectation onto blocks(B) (x) M_K, which is completely
+contractive and restricts to the identity, so the composite has the same
+norm as the restriction.
 
 With the r x r blocks X_mn of X regrouped as rows, the map is two
 matmuls: the pairing P (r^2 x dim B) with the dual basis gives c_i[m, n]
@@ -30,8 +31,8 @@ representation, so a start in B climbs through the same elements of B
 on the blocks as on rep.  All starts climb together as one stack: one
 per basis element of B and six random unitaries.  The
 amplification is always K = theta.dim, which already gives the cb norm,
-so no caller chooses it.  P and the start stack depend only on
-(bialgebra, K), which all rows of a sweep share.  The memo is
+so no caller chooses it.  The blocks, P and the start stack depend only
+on (bialgebra, K), which all rows of a sweep share.  The memo is
 functools.lru_cache(maxsize=1) on _frame: the key is its arguments,
 where the bialgebra (frozen, with read-only arrays) compares by identity
 and K by value.  The random starts are
@@ -45,7 +46,7 @@ import functools
 
 import numpy as np
 
-from .linalg import opnorms, polar_unitary, standard_normal, top_singular_triple
+from .linalg import irreducible_blocks, opnorms, polar_unitary, standard_normal, top_singular_triple
 from .structure_maps import OperatorMap
 
 __all__ = ["AmplifiedMap", "amplified_norm"]
@@ -57,15 +58,15 @@ MAX_ASCENT_ENTRIES = 2**24
 
 
 class AmplifiedMap:
-    """theta (x) id_{M_K} composed with the expectation onto block_rep(B) (x) M_K.
+    """theta (x) id_{M_K} composed with the expectation onto blocks(B) (x) M_K, blocks from the frame.
 
     Every method takes one matrix (or vector) or a stack of them along leading axes.
     """
 
     def __init__(self, theta: OperatorMap):
         self.theta = theta
-        self.rep_dim = theta.source.block_rep.shape[1]
         self.pairing, self.dual, self.starts = _frame(theta.source, theta.dim)
+        self.rep_dim = self.starts.shape[-1] // theta.dim
         self.mats = theta.mats.reshape(theta.source.dim, -1)
         self.mats_h = np.conjugate(self.mats.T)
 
@@ -99,15 +100,16 @@ def _check_ascent_size(source, k: int):
 def _frame(source, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (P, P^H, starts) for this bialgebra and output dimension K.
 
-    The starts are kron(rho_i / ||rho_i||, 1_K) for each block_rep basis
-    element and a fixed-seed batch of random unitaries, the polar factors
-    of complex Gaussians drawn by the stdlib generator (random.Random
-    through linalg.standard_normal), which keeps numpy's random module,
-    its memory and its import time out of the process.  The identity is
+    rho = irreducible_blocks(source.rep), kept nowhere else.  The starts
+    are kron(rho_i / ||rho_i||, 1_K) for each basis element and a
+    fixed-seed batch of random unitaries, the polar factors of complex
+    Gaussians drawn by the stdlib generator (random.Random through
+    linalg.standard_normal), which keeps numpy's random module, its
+    memory and its import time out of the process.  The identity is
     no start: on C[G] it is the unit's basis start, and where theta(1) = 0
     (every gap map of a unital pi) it climbs from rounding noise.
     """
-    rep = source.block_rep
+    rep = irreducible_blocks(source.rep)
     flat = rep.reshape(len(rep), -1)
     # dual basis g_i in span(rho): <g_i, rho_j>_HS = delta_ij
     dual = np.conjugate(np.linalg.inv(np.conjugate(flat) @ flat.T)) @ flat

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +50,7 @@ from .serialize import (
     encode_complex_array,
     finite_number,
     integer,
+    invalid,
     only_keys,
     read_json,
     write_json,
@@ -98,15 +98,6 @@ MAX_SWEEP_EVALUATIONS = 1024
 #: the largest exponent E a step-function pair may bring (_pair_exponent): every walk and
 #: limit matrix element of the pair, and the semigroup law's, is at most ||b|| e^E, and e^700 < 1.1e304
 MAX_PAIR_EXPONENT = 700.0
-
-
-@contextmanager
-def _invalid(field: str):
-    """Refuse a bad value of field: a TypeError, ValueError or OverflowError inside becomes a FormatError naming it."""
-    try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"invalid {field}: {exc}") from exc
 
 
 def _string(value) -> str:
@@ -268,7 +259,7 @@ def _fields(payload: dict, section: str | None = None) -> dict:
     out = {}
     for key, (rule, default) in FIELDS[section].items():
         if key in payload:
-            with _invalid(f"{key!r}{where}"):
+            with invalid(f"{key!r}{where}"):
                 out[key] = rule(payload[key])
         elif default is _REQUIRED:
             raise FormatError(f"missing {key!r}{where}")
@@ -304,9 +295,9 @@ def resolve_bialgebra(section, base_dir: Path) -> CounitalBialgebra:
     if named not in ({"builtin", "group"}, {"file"}):
         raise FormatError("'bialgebra' needs a 'builtin' and a 'group', or a 'file' alone")
     if named == {"file"}:
-        with _invalid("'file' in 'bialgebra'"):
+        with invalid("'file' in 'bialgebra'"):
             return load_bialgebra(base_dir.joinpath(section["file"]))
-    with _invalid("'group' in 'bialgebra'"):
+    with invalid("'group' in 'bialgebra'"):
         group, characters = _resolve_group(section["group"], base_dir)
     if section["builtin"] == "function_algebra":
         return build_function_algebra(group)
@@ -341,13 +332,13 @@ class ExperimentConfig:
             pi = b.rep
         elif isinstance(pi, int):
             pi = b.characters[pi].reshape(-1, 1, 1)
-        with _invalid("'triple'"):
+        with invalid("'triple'"):
             triple = ImplementingTriple(source=b, pi=as_complex_array(pi), xi=cfg["triple"]["xi"], D=cfg["triple"]["D"])
             _check_ascent_size(b, triple.noise_dim + 1)
         noise_dim = triple.noise_dim
         sweep = cfg["sweep"]
         h_values = tuple(sweep["h0"] * sweep["ratio"] ** k for k in range(sweep["count"]))
-        with _invalid("'sweep'"):  # h0 is the largest swept step length
+        with invalid("'sweep'"):  # h0 is the largest swept step length
             build_unitary(triple.xi, h_values[0])
         horizon = cfg["time_horizon"]
         times = (horizon,) if cfg["sample_times"] is None else cfg["sample_times"]
@@ -367,7 +358,7 @@ class ExperimentConfig:
                         f"invalid 'step_function_pairs': pair {k} has noise dimension {fn.noise_dim}, "
                         f"triple expects {noise_dim}"
                     )
-                with _invalid(f"'step_function_pairs': pair {k}"):
+                with invalid(f"'step_function_pairs': pair {k}"):
                     for h, grid_end in zip(h_values, grid_ends):  # the sweep's own alignment rule, before any run
                         _validate_alignment(fn, h, grid_end)
             exponent = _pair_exponent(*pair)
@@ -386,7 +377,7 @@ class ExperimentConfig:
                 "evaluations, more than {}".format(*factors, math.prod(factors), MAX_SWEEP_EVALUATIONS)
             )
         depth = cfg["compatibility_depth"]
-        with _invalid("'compatibility_depth'"):  # the lifted iterate, the largest array the compatibility check builds
+        with invalid("'compatibility_depth'"):  # the lifted iterate, the largest array the compatibility check builds
             _check_entries(b.dim**2, noise_dim + 1, depth)
         return cls(
             bialgebra=b,

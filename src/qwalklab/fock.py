@@ -190,7 +190,9 @@ def _piecewise_product(src, f: StepFunction, g: StepFunction, t: float, factor) 
 
 def _as_coeffs(src, b_coeffs) -> np.ndarray:
     if isinstance(b_coeffs, (int, np.integer)):
-        return src.basis_coeffs(int(b_coeffs))
+        out = np.zeros(src.dim, dtype=complex)
+        out[int(b_coeffs)] = 1.0
+        return out
     arr = as_complex_array(b_coeffs)
     if arr.shape != (src.dim,):
         raise ValueError(f"element coefficients have shape {arr.shape}, expected ({src.dim},)")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import FormatError, integer, labels_and_name, only_keys
+from .serialize import FormatError, integer, invalid, labels_and_name, only_keys
 
 __all__ = [
     "FiniteGroup",
@@ -81,14 +81,18 @@ class FiniteGroup:
             only_keys(payload, ("format", "order", "mult_table", "labels", "name"))
             if payload.get("format", "group-v1") != "group-v1":
                 raise FormatError(f"unsupported group format {payload['format']!r}")
-            order = integer(payload["order"])
-            if order < 1:
-                raise FormatError(f"invalid 'order': expected an integer >= 1, got {order}")
-            flat = [integer(x) for x in payload["mult_table"]]
-            if len(flat) != order * order:
-                raise FormatError(f"mult_table length {len(flat)} != order^2 = {order * order}")
+            with invalid("'order'"):
+                order = integer(payload["order"])
+                if order < 1:
+                    raise FormatError(f"expected an integer >= 1, got {order}")
+            with invalid("'mult_table'"):
+                flat = [integer(x) for x in payload["mult_table"]]
+                if len(flat) != order * order:
+                    raise FormatError(f"length {len(flat)} != order^2 = {order * order}")
             labels, name = labels_and_name(payload, order, "g", "G")
-        except (KeyError, TypeError, FormatError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"malformed group payload: missing {exc.args[0]!r}") from exc
+        except FormatError as exc:
             raise FormatError(f"malformed group payload: {exc}") from exc
         return cls(table=np.asarray(flat, dtype=np.int64).reshape(order, order), labels=labels, name=name)
 

@@ -16,6 +16,7 @@ __all__ = [
     "compress",
     "dag",
     "expm",
+    "irreducible_blocks",
     "opnorms",
     "polar_unitary",
     "standard_normal",
@@ -98,6 +99,41 @@ def expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
+
+
+#: relative tolerance that separates eigenvalues, singular values and
+#: characters when a representation is split into irreducible blocks
+_SPLIT_RTOL = 1e-8
+
+
+def irreducible_blocks(rep: np.ndarray) -> np.ndarray:
+    """One copy of each irreducible subrepresentation of the *-representation stack rep, block-diagonal.
+
+    A generic Hermitian a = sum_i c_i rep_i + h.c. has, in every
+    irreducible block, simple eigenvalues that no other block shares, so
+    an eigenvector v of each eigenvalue cluster lies in one irreducible
+    subspace, the cyclic span{rep_i v}.  The coefficients c are complex
+    (with real ones C[Z_n] has tied eigenvalues at k and -k) and seeded
+    draws from standard_normal.  Equivalent blocks have equal characters,
+    and only the first of each is kept.  For a faithful rep of B the
+    result is faithful too, of size sum_j d_j with sum_j d_j^2 = dim B.
+    """
+    z = standard_normal(0, (2, rep.shape[0]))
+    a = np.einsum("i,iab->ab", z[0] + 1j * z[1], rep)
+    evals, evecs = np.linalg.eigh(a + dag(a))
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    bases, chars = [], []
+    for k in np.flatnonzero(np.diff(evals, prepend=-np.inf) > _SPLIT_RTOL * scale):
+        u, s, _ = np.linalg.svd(np.einsum("iab,b->ai", rep, evecs[:, k]), full_matrices=False)
+        q = u[:, s > _SPLIT_RTOL * s[0]]
+        char = np.einsum("ak,iab,bk->i", np.conjugate(q), rep, q)
+        if all(np.max(np.abs(char - c)) > _SPLIT_RTOL * max(1.0, np.max(np.abs(c))) for c in chars):
+            bases.append(q)
+            chars.append(char)
+    q = np.concatenate(bases, axis=1)
+    blocks = compress(rep, q)
+    owner = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
+    return readonly(blocks * (owner[:, None] == owner[None, :]))
 
 
 def opnorms(stack: np.ndarray) -> np.ndarray:

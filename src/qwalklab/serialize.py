@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "decode_complex_array",
     "finite_number",
     "integer",
+    "invalid",
     "labels_and_name",
     "only_keys",
     "read_json",
@@ -59,6 +61,15 @@ def integer(value) -> int:
     return value
 
 
+@contextmanager
+def invalid(field: str):
+    """Refuse a bad value of field: a TypeError, ValueError or OverflowError inside becomes a FormatError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"invalid {field}: {exc}") from exc
+
+
 def labels_and_name(payload: dict, count: int, prefix: str, name: str) -> tuple[tuple[str, ...], str]:
     """payload's 'labels', count strings (absent: prefix0, prefix1, ...), and its 'name', a string (absent: name)."""
     labels = payload["labels"] if "labels" in payload else [f"{prefix}{i}" for i in range(count)]
@@ -91,7 +102,7 @@ def decode_complex_array(node) -> np.ndarray:
     try:
         return np.asarray(values, dtype=complex)
     except ValueError as exc:
-        raise FormatError(f"ragged complex array: {exc}") from exc
+        raise FormatError("ragged nested list: entries at one depth differ in shape") from exc
 
 
 def read_json(path) -> dict:

@@ -55,7 +55,7 @@ def build_unitary(xi, h: float) -> np.ndarray:
     norm_sq = float(np.real(np.vdot(xi, xi)))
     if h * norm_sq > 1.0:
         raise ValueError(
-            f"h * ||xi||^2 = {h * norm_sq:.6g} > 1: step length too large for the "
+            f"h * ||xi||^2 = {h * norm_sq!r} > 1: step length too large for the "
             "walk unitary (the rotation angle would leave [0, pi/2])"
         )
     p = xi.shape[0]

@@ -7,11 +7,13 @@ from qwalklab import (
     amplified_norm,
     build_group_algebra,
     run_sweep,
+    run_verify,
     structure_map_from_pair,
     symmetric_group,
 )
 from qwalklab.cbnorm import AmplifiedMap
 from qwalklab.groups import symmetric_sign_character
+from qwalklab.linalg import irreducible_blocks
 from qwalklab.walk import gap_map
 
 from .oracles import apply_amplified, dual_basis, hs_expectation, sampled_lower_bound, serial_amplified_norm
@@ -25,13 +27,13 @@ def random_map(rng, b, k=2):
 def test_dual_basis_pairs_to_identity(all_bialgebras):
     for b in all_bialgebras:
         amap = AmplifiedMap(OperatorMap(b, b.rep))
-        flat = b.block_rep.reshape(b.dim, -1)
+        flat = irreducible_blocks(b.rep).reshape(b.dim, -1)
         assert np.max(np.abs(flat @ amap.pairing - np.eye(b.dim))) < 1e-10
         assert np.array_equal(amap.dual, np.conjugate(amap.pairing.T))
 
 
 def test_expectation_fixes_the_subalgebra(group_s3):
-    rep = group_s3.block_rep
+    rep = irreducible_blocks(group_s3.rep)
     rng = np.random.default_rng(7)
     c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x = np.kron(rep[3], c)
@@ -39,7 +41,7 @@ def test_expectation_fixes_the_subalgebra(group_s3):
 
 
 def test_expectation_is_idempotent(c_s3):
-    rep = c_s3.block_rep
+    rep = irreducible_blocks(c_s3.rep)
     rng = np.random.default_rng(11)
     n = 2 * rep.shape[1]
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -55,7 +57,7 @@ def test_matmul_contraction_matches_two_einsum_reference(all_bialgebras, k):
         amap = AmplifiedMap(theta)
         n, out = amap.rep_dim * k, k * k
         x = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
-        want = apply_amplified(theta.mats, dual_basis(b.block_rep), x)
+        want = apply_amplified(theta.mats, dual_basis(irreducible_blocks(b.rep)), x)
         assert np.max(np.abs(amap.apply(x) - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(amap.apply(x[1, 2]) - want[1, 2])) <= 1e-12 * np.max(np.abs(want))
         u = rng.standard_normal((3, 4, out)) + 1j * rng.standard_normal((3, 4, out))
@@ -100,6 +102,16 @@ def test_ascent_rounds_of_a_demo_sweep(monkeypatch, s3_demo_config):
     monkeypatch.setattr(AmplifiedMap, "apply", counted)
     run_sweep(s3_demo_config)
     assert calls == 36
+
+
+def test_a_demo_sweep_splits_the_blocks_once_and_verify_never(monkeypatch, s3_demo_config):
+    # the frame memo is the one place the split is kept: every row of a sweep shares (B, K)
+    split = count_calls(monkeypatch, cbnorm, "irreducible_blocks")
+    cbnorm._frame.cache_clear()
+    run_verify(s3_demo_config)
+    assert len(split) == 0
+    run_sweep(s3_demo_config)
+    assert len(split) == 1
 
 
 def test_unital_homomorphism_has_norm_one(all_bialgebras):

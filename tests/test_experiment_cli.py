@@ -434,6 +434,64 @@ def test_cli_oversized_step_names_the_sweep(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: invalid 'sweep': h * ||xi||^2 = 1.125 > 1")
 
 
+def test_step_past_one_by_rounding_reads_its_full_product():
+    # h ||xi||^2 = 1.0000000000000002 is refused, as the strict bound says, and no longer reads "1 > 1"
+    payload = _demo_payload("group-s3")
+    xi = np.array([re + 1j * im for re, im in payload["triple"]["xi"]])
+    payload["triple"]["xi"] = [[x.real, x.imag] for x in xi * (1000 / np.linalg.norm(xi))]
+    payload["sweep"] = {"h0": 1e-6, "count": 1}
+    with pytest.raises(FormatError) as refused:
+        ExperimentConfig.from_payload(payload, None)
+    assert str(refused.value) == (
+        "invalid 'sweep': h * ||xi||^2 = 1.0000000000000002 > 1: step length too large for the "
+        "walk unitary (the rotation angle would leave [0, pi/2])"
+    )
+
+
+#: the C[Z2] file, one bad array key at a time, and the line that names that key
+Z2_FILE_ERRORS = {
+    "counit": ("x", "invalid 'counit': expected [re, im] pair or nested list, got 'x'"),
+    "characters": (
+        [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]],
+        "invalid 'characters': ragged nested list: entries at one depth differ in shape",
+    ),
+    "structure_constants": (0, "invalid 'structure_constants': has shape (2, 2), expected (2, 2, 2)"),
+    "involution": (0, "invalid 'involution': has shape (2,), expected (2, 2)"),
+    "faithful_rep": (0, "invalid 'faithful_rep': has shape (2, 2), expected (2, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("key", Z2_FILE_ERRORS)
+def test_cli_bad_bialgebra_array_names_its_file_key(tmp_path, capsys, key):
+    # a bad value is replaced outright; 0 stands for the array's own first row, one axis short
+    value, expected = Z2_FILE_ERRORS[key]
+    content = bialgebra_to_payload(build_group_algebra(symmetric_group(2)))
+    content[key] = content[key][0] if value == 0 else value
+    write_json(tmp_path / "bad.json", content)
+    triple = {"pi": "regular", "xi": [[0.9, 0.0], [0.0, 0.0]]}
+    config = write_config(tmp_path, base_payload(bialgebra={"file": "bad.json"}, triple=triple))
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: invalid 'file' in 'bialgebra': {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ({"mult_table": [0, 1, 1, 0]}, "missing 'order'"),
+        ({"order": 2, "mult_table": "x"}, "invalid 'mult_table': expected an integer, got 'x'"),
+        ({"order": 2, "mult_table": [0, 1, 1]}, "invalid 'mult_table': length 3 != order^2 = 4"),
+    ],
+    ids=["missing-order", "string-table", "short-table"],
+)
+def test_cli_bad_group_file_names_its_key(tmp_path, capsys, content, expected):
+    write_json(tmp_path / "g.json", content)
+    section = {"builtin": "group_algebra", "group": {"file": "g.json"}}
+    config = write_config(tmp_path, base_payload(bialgebra=section, triple={"pi": "character:0", "xi": [[1.5, 0.0]]}))
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    prefix = "error: invalid 'group' in 'bialgebra': malformed group payload: "
+    assert capsys.readouterr().err == f"{prefix}{expected}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_non_faithful_rep_file_exits_two_naming_it(tmp_path, capsys, command):
     # the trivial representation is a *-representation that is not faithful: a malformed file, not a failed axiom

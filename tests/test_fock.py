@@ -122,7 +122,7 @@ def test_walk_element_accepts_basis_index(group_z2, z2_sign_triple):
     f = two_piece()
     g = StepFunction.constant([0.8], 1.0)
     via_index = walk_matrix_element(psi, 1, f, g, 1.0, 0.25)
-    via_coeffs = walk_matrix_element(psi, group_z2.basis_coeffs(1), f, g, 1.0, 0.25)
+    via_coeffs = walk_matrix_element(psi, np.array([0.0, 1.0], dtype=complex), f, g, 1.0, 0.25)
     assert via_index == via_coeffs
 
 

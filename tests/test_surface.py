@@ -107,6 +107,12 @@ def test_retired_name_is_gone(name):
         assert name not in importlib.import_module(f"qwalklab.{module}").__all__
 
 
+@pytest.mark.parametrize("name", ["block_rep", "is_commutative", "is_cocommutative", "basis_coeffs"])
+def test_bialgebra_holds_only_its_structure(name):
+    # the block split is linalg.irreducible_blocks, (co)commutativity a verify_bialgebra flag
+    assert not hasattr(qwalklab.CounitalBialgebra, name)
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_all_resolves(name):
     module = importlib.import_module(f"qwalklab.{name}")

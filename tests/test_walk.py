@@ -11,6 +11,7 @@ from qwalklab import (
     build_walk,
     error_terms,
     structure_map_from_pair,
+    verify_bialgebra,
     verify_error_identity,
     vector_state_check,
 )
@@ -171,7 +172,7 @@ def test_error_terms_match_block_oracle(request, case):
 
 def test_error_identity_rank_two_isometry(c_s3):
     triple = rank_two_triple(c_s3)
-    assert not c_s3.is_cocommutative()
+    assert not verify_bialgebra(c_s3)["cocommutative"]
     for h in admissible_hs(triple.xi):
         assert verify_error_identity(triple, c_s3.counit, h) < IDENTITY_TOL
 
