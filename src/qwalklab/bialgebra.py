@@ -268,19 +268,16 @@ def bialgebra_to_payload(b: CounitalBialgebra) -> dict:
 
 
 def bialgebra_from_payload(payload: dict) -> CounitalBialgebra:
-    if payload.get("format") != "bialgebra-v1":
-        raise FormatError(f"unsupported bialgebra format {payload.get('format')!r}")
-    only_keys(payload, ("format", "name", "dim", "labels", *_ARRAY_KEYS.values()))
-    try:
-        dim = payload["dim"]
-        fields = {}
-        for key, name in _ARRAY_KEYS.items():
-            with invalid(repr(name)):
-                fields[key] = decode_complex_array(payload[name])
-    except KeyError as exc:
-        raise FormatError(f"missing bialgebra field {exc.args[0]!r}") from exc
+    if payload.get("format", "bialgebra-v1") != "bialgebra-v1":
+        raise FormatError(f"unsupported bialgebra format {payload['format']!r}")
+    required = ("format", "dim", *_ARRAY_KEYS.values())
+    only_keys(payload, ("name", "labels", *required), required)
+    fields = {}
+    for key, name in _ARRAY_KEYS.items():
+        with invalid(repr(name)):
+            fields[key] = decode_complex_array(payload[name])
     with invalid("'dim'"):
-        integer(dim)
+        dim = integer(payload["dim"])
     shape = fields["mult"].shape
     if shape[:1] != (dim,):  # before labels_and_name builds anything of length dim
         raise FormatError(f"invalid 'dim': {dim} does not match the structure constants of shape {shape}")

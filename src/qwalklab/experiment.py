@@ -181,13 +181,18 @@ def _pairs(value) -> tuple[tuple[StepFunction, StepFunction], ...]:
     pairs = []
     for k, pair in enumerate(_list(value, MAX_PAIRS)):
         try:
-            only_keys(_object(pair), ("f", "g"))
-            pairs.append(tuple(step_function_from_payload(_list(pair[fn], MAX_SEGMENTS)) for fn in "fg"))
-        except (KeyError, TypeError, ValueError) as exc:
+            only_keys(_object(pair), ("f", "g"), required=("f", "g"))
+            fns = []
+            for fn in "fg":
+                with invalid(repr(fn)):
+                    fns.append(step_function_from_payload(_list(pair[fn], MAX_SEGMENTS)))
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"pair {k} is malformed: {exc}") from exc
+        pairs.append(tuple(fns))
     return tuple(pairs)
 
 
+@np.errstate(over="ignore")  # a square past the float range is inf, which the bound refuses
 def _pair_exponent(f: StepFunction, g: StepFunction) -> float:
     """E = (max|f|^2 + max|g|^2) / 2 * max(1, T_f, T_g).
 
@@ -253,16 +258,13 @@ FIELDS = {
 def _fields(payload: dict, section: str | None = None) -> dict:
     """Each field of section: a present value through its rule, an absent key at its default."""
     where = "" if section is None else f" in {section!r}"
-    unknown = [key for key in payload if key not in FIELDS[section]]
-    if unknown:
-        raise FormatError(f"unknown key {unknown[0]!r}{where or ' in the config'}")
+    required = [key for key, (_, default) in FIELDS[section].items() if default is _REQUIRED]
+    only_keys(payload, FIELDS[section], required, where or " in the config")
     out = {}
     for key, (rule, default) in FIELDS[section].items():
         if key in payload:
             with invalid(f"{key!r}{where}"):
                 out[key] = rule(payload[key])
-        elif default is _REQUIRED:
-            raise FormatError(f"missing {key!r}{where}")
         else:
             out[key] = default
         if key in FIELDS:
@@ -362,7 +364,7 @@ class ExperimentConfig:
                     for h, grid_end in zip(h_values, grid_ends):  # the sweep's own alignment rule, before any run
                         _validate_alignment(fn, h, grid_end)
             exponent = _pair_exponent(*pair)
-            if exponent > MAX_PAIR_EXPONENT:
+            if not exponent <= MAX_PAIR_EXPONENT:  # a NaN exponent is refused too
                 raise FormatError(
                     f"invalid 'step_function_pairs': pair {k} has (max|f|^2 + max|g|^2) / 2 * max(1, T_f, T_g) "
                     f"= {exponent:.6g} > {MAX_PAIR_EXPONENT:g}, past which its matrix elements can overflow"

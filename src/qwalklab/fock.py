@@ -68,12 +68,16 @@ class StepFunction:
             raise ValueError("segment durations must be positive and nonempty")
         durations = durations.copy()
         durations.setflags(write=False)
-        breakpoints = np.concatenate([[0.0], np.cumsum(durations)])
+        with np.errstate(over="ignore"):
+            breakpoints = np.concatenate([[0.0], np.cumsum(durations)])
+            total_time = float(np.sum(durations))
+        if not (np.isfinite(breakpoints[-1]) and np.isfinite(total_time)):
+            raise ValueError("segment durations must sum to a finite time")
         breakpoints.setflags(write=False)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "values", readonly(values))
         object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "total_time", float(np.sum(durations)))
+        object.__setattr__(self, "total_time", total_time)
 
     @classmethod
     def constant(cls, value, duration: float) -> "StepFunction":
@@ -190,6 +194,8 @@ def _piecewise_product(src, f: StepFunction, g: StepFunction, t: float, factor) 
 
 def _as_coeffs(src, b_coeffs) -> np.ndarray:
     if isinstance(b_coeffs, (int, np.integer)):
+        if isinstance(b_coeffs, bool) or not 0 <= b_coeffs < src.dim:
+            raise ValueError(f"basis index must be an integer in 0..{src.dim - 1}, got {b_coeffs!r}")
         out = np.zeros(src.dim, dtype=complex)
         out[int(b_coeffs)] = 1.0
         return out

@@ -77,23 +77,18 @@ class FiniteGroup:
 
         An optional 'format' must be "group-v1".
         """
-        try:
-            only_keys(payload, ("format", "order", "mult_table", "labels", "name"))
-            if payload.get("format", "group-v1") != "group-v1":
-                raise FormatError(f"unsupported group format {payload['format']!r}")
-            with invalid("'order'"):
-                order = integer(payload["order"])
-                if order < 1:
-                    raise FormatError(f"expected an integer >= 1, got {order}")
-            with invalid("'mult_table'"):
-                flat = [integer(x) for x in payload["mult_table"]]
-                if len(flat) != order * order:
-                    raise FormatError(f"length {len(flat)} != order^2 = {order * order}")
-            labels, name = labels_and_name(payload, order, "g", "G")
-        except KeyError as exc:
-            raise FormatError(f"malformed group payload: missing {exc.args[0]!r}") from exc
-        except FormatError as exc:
-            raise FormatError(f"malformed group payload: {exc}") from exc
+        only_keys(payload, ("format", "order", "mult_table", "labels", "name"), ("order", "mult_table"))
+        if payload.get("format", "group-v1") != "group-v1":
+            raise FormatError(f"unsupported group format {payload['format']!r}")
+        with invalid("'order'"):
+            order = integer(payload["order"])
+            if order < 1:
+                raise FormatError(f"expected an integer >= 1, got {order}")
+        with invalid("'mult_table'"):
+            flat = [integer(x) for x in payload["mult_table"]]
+            if len(flat) != order * order:
+                raise FormatError(f"length {len(flat)} != order^2 = {order * order}")
+        labels, name = labels_and_name(payload, order, "g", "G")
         return cls(table=np.asarray(flat, dtype=np.int64).reshape(order, order), labels=labels, name=name)
 
 

@@ -81,11 +81,15 @@ def labels_and_name(payload: dict, count: int, prefix: str, name: str) -> tuple[
     return tuple(labels), name
 
 
-def only_keys(payload: dict, allowed: tuple[str, ...]) -> None:
-    """Refuse payload, with a FormatError naming the key, if one of its keys is not in allowed."""
+def only_keys(payload: dict, allowed, required=(), where: str = "") -> None:
+    """Refuse payload, with a FormatError naming the key and ending in where, if one of its keys is
+    not in allowed, or else if a key of required is absent."""
     unknown = [key for key in payload if key not in allowed]
     if unknown:
-        raise FormatError(f"unknown key {unknown[0]!r}")
+        raise FormatError(f"unknown key {unknown[0]!r}{where}")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise FormatError(f"missing {missing[0]!r}{where}")
 
 
 def _decode(node):

@@ -68,6 +68,13 @@ def test_negative_time_rejected(z2_phi):
         CocycleEvaluator(z2_phi).matrix_element(0, f, f, -0.5)
 
 
+@pytest.mark.parametrize("index", [-2, 2, True], ids=["negative", "dim", "bool"])
+def test_basis_index_outside_the_basis_rejected(z2_phi, index):
+    f = StepFunction.constant([0.9], 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"basis index must be an integer in 0..1, got {index!r}")):
+        CocycleEvaluator(z2_phi).matrix_element(index, f, f, 1.0)
+
+
 def test_noise_dim_mismatch_rejected(z2_phi):
     f = StepFunction.constant([0.9, 0.1], 1.0)
     with pytest.raises(ValueError):

@@ -448,25 +448,33 @@ def test_step_past_one_by_rounding_reads_its_full_product():
     )
 
 
-#: the C[Z2] file, one bad array key at a time, and the line that names that key
-Z2_FILE_ERRORS = {
-    "counit": ("x", "invalid 'counit': expected [re, im] pair or nested list, got 'x'"),
-    "characters": (
+#: the C[Z2] file, one bad key at a time (a value of None deletes the key), and the line that names that key
+Z2_FILE_ERRORS = [
+    ("counit", "x", "invalid 'counit': expected [re, im] pair or nested list, got 'x'"),
+    (
+        "characters",
         [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]],
         "invalid 'characters': ragged nested list: entries at one depth differ in shape",
     ),
-    "structure_constants": (0, "invalid 'structure_constants': has shape (2, 2), expected (2, 2, 2)"),
-    "involution": (0, "invalid 'involution': has shape (2,), expected (2, 2)"),
-    "faithful_rep": (0, "invalid 'faithful_rep': has shape (2, 2), expected (2, 2, 2)"),
-}
+    ("structure_constants", 0, "invalid 'structure_constants': has shape (2, 2), expected (2, 2, 2)"),
+    ("involution", 0, "invalid 'involution': has shape (2,), expected (2, 2)"),
+    ("faithful_rep", 0, "invalid 'faithful_rep': has shape (2, 2), expected (2, 2, 2)"),
+    ("format", "x", "unsupported bialgebra format 'x'"),
+    ("format", None, "missing 'format'"),
+    ("unit", None, "missing 'unit'"),
+]
 
 
-@pytest.mark.parametrize("key", Z2_FILE_ERRORS)
-def test_cli_bad_bialgebra_array_names_its_file_key(tmp_path, capsys, key):
+@pytest.mark.parametrize(
+    "key, value, expected", Z2_FILE_ERRORS, ids=[k if v is not None else f"no-{k}" for k, v, _ in Z2_FILE_ERRORS]
+)
+def test_cli_bad_bialgebra_array_names_its_file_key(tmp_path, capsys, key, value, expected):
     # a bad value is replaced outright; 0 stands for the array's own first row, one axis short
-    value, expected = Z2_FILE_ERRORS[key]
     content = bialgebra_to_payload(build_group_algebra(symmetric_group(2)))
-    content[key] = content[key][0] if value == 0 else value
+    if value is None:
+        del content[key]
+    else:
+        content[key] = content[key][0] if value == 0 else value
     write_json(tmp_path / "bad.json", content)
     triple = {"pi": "regular", "xi": [[0.9, 0.0], [0.0, 0.0]]}
     config = write_config(tmp_path, base_payload(bialgebra={"file": "bad.json"}, triple=triple))
@@ -480,16 +488,122 @@ def test_cli_bad_bialgebra_array_names_its_file_key(tmp_path, capsys, key):
         ({"mult_table": [0, 1, 1, 0]}, "missing 'order'"),
         ({"order": 2, "mult_table": "x"}, "invalid 'mult_table': expected an integer, got 'x'"),
         ({"order": 2, "mult_table": [0, 1, 1]}, "invalid 'mult_table': length 3 != order^2 = 4"),
+        (
+            {"order": 65, "mult_table": [(i + j) % 65 for i in range(65) for j in range(65)]},
+            "order 65 exceeds supported maximum 64",
+        ),
+        ({"order": 2, "mult_table": [0, 1, 1, 2]}, "table entries must be indices in [0, order)"),
     ],
-    ids=["missing-order", "string-table", "short-table"],
+    ids=["missing-order", "string-table", "short-table", "order-65", "entry-past-the-order"],
 )
 def test_cli_bad_group_file_names_its_key(tmp_path, capsys, content, expected):
     write_json(tmp_path / "g.json", content)
     section = {"builtin": "group_algebra", "group": {"file": "g.json"}}
     config = write_config(tmp_path, base_payload(bialgebra=section, triple={"pi": "character:0", "xi": [[1.5, 0.0]]}))
     assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
-    prefix = "error: invalid 'group' in 'bialgebra': malformed group payload: "
-    assert capsys.readouterr().err == f"{prefix}{expected}\n"
+    assert capsys.readouterr().err == f"error: invalid 'group' in 'bialgebra': {expected}\n"
+
+
+#: config edits of the group-z2 demo (None deletes the key), and the one line each prints
+REFUSAL_LINES = {
+    "empty-xi": ({"triple": {"pi": "character:1", "xi": []}}, "invalid 'triple': xi has shape (0,), expected (1,)"),
+    "empty-pi": (
+        {"triple": {"pi": {"matrices": []}, "xi": [[1.5, 0.0]]}},
+        "invalid 'triple': pi has shape (0,), expected (2, p, p)",
+    ),
+    "missing-bialgebra": ({"bialgebra": None}, "missing 'bialgebra' in the config"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSAL_LINES)
+def test_cli_refusal_prints_its_one_line(tmp_path, capsys, case):
+    edits, expected = REFUSAL_LINES[case]
+    payload = _demo_payload("group-z2")
+    for key, value in edits.items():
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+    config = write_config(tmp_path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_h0_past_the_float_range_is_not_a_finite_number(tmp_path, capsys):
+    # a 401-digit JSON integer is a Python int that no float holds
+    payload = _demo_payload("group-z2")
+    payload["sweep"]["h0"] = 10**400
+    config = write_config(tmp_path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid 'h0' in 'sweep': 1000")
+    assert err.endswith(" is not a finite number\n")
+
+
+@pytest.mark.parametrize(
+    "pair, expected",
+    [
+        ({"g": [[1.0, [0.25, 0.0]]]}, "missing 'f'"),
+        ({"f": [[1.0, [0.25, 0.0]]], "g": "x"}, "invalid 'g': expected a nonempty list, got 'x'"),
+    ],
+    ids=["missing-f", "bad-g"],
+)
+def test_cli_malformed_pair_names_its_key(tmp_path, capsys, pair, expected):
+    payload = _demo_payload("group-z2")
+    payload["step_function_pairs"][1] = pair
+    config = write_config(tmp_path, payload)
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: invalid 'step_function_pairs': pair 1 is malformed: {expected}\n"
+
+
+#: each overflow config, an edit of the group-z2 demo, and the one line it prints
+_HUGE = [[1e308, [0.0, 0.0]], [1e308, [0.0, 0.0]]]
+_DURATIONS_PAST_THE_FLOAT_RANGE = (
+    "invalid 'step_function_pairs': pair 0 is malformed: invalid 'f': segment durations must sum to a finite time"
+)
+OVERFLOW_CONFIGS = {
+    "durations-sum-to-inf": (
+        lambda p: p.__setitem__("step_function_pairs", [{"f": _HUGE, "g": _HUGE}]),
+        _DURATIONS_PAST_THE_FLOAT_RANGE,
+    ),
+    "durations-sum-to-inf-in-f": (
+        lambda p: p["step_function_pairs"][0].__setitem__("f", [[1e308, [1.0, 0.0]], [1e308, [1.0, 0.0]]]),
+        _DURATIONS_PAST_THE_FLOAT_RANGE,
+    ),
+    "value-squares-to-inf": (
+        lambda p: p["step_function_pairs"][0].__setitem__("f", [[0.25, [1.0, 0.0]], [0.75, [1e200, 0.0]]]),
+        "invalid 'step_function_pairs': pair 0 has (max|f|^2 + max|g|^2) / 2 * max(1, T_f, T_g) = inf > 700, "
+        "past which its matrix elements can overflow",
+    ),
+    "huge-D": (
+        lambda p: p["triple"].__setitem__("D", [[[1e200, 0.0]]]),
+        "invalid 'triple': triple is invalid: isometry residual inf > 1e-10",
+    ),
+    "huge-pi": (
+        lambda p: p["triple"].__setitem__("pi", {"matrices": [[[[1e200, 0.0]]], [[[1e200, 0.0]]]]}),
+        "invalid 'triple': triple is invalid: pi_product residual inf > 1e-10",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CONFIGS)
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_python_dash_m_overflowing_config_prints_one_line(tmp_path, command, case):
+    # no numpy warning comes before the refusal, and no NaN reaches a report
+    edit, expected = OVERFLOW_CONFIGS[case]
+    payload = _demo_payload("group-z2")
+    edit(payload)
+    config = write_config(tmp_path, payload)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwalklab", command, "--config", str(config), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=with_src(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {expected}\n"
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -746,7 +860,8 @@ def test_a_step_function_past_the_segment_bound_exits_two(tmp_path, capsys, comm
     config = write_config(tmp_path, _with_segments(segments["f"], segments["g"]))
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: invalid 'step_function_pairs': pair 0 is malformed: expected at most 64 entries, got 65\n"
+        "error: invalid 'step_function_pairs': pair 0 is malformed: "
+        f"invalid {fn!r}: expected at most 64 entries, got 65\n"
     )
 
 
@@ -878,11 +993,7 @@ KLEIN_AS_Z4 = {"order": 4, "mult_table": [i ^ j for i in range(4) for j in range
     "bialgebra, extra, expected",
     [
         ({"file": "bad.json"}, {"note": "hi"}, "invalid 'file' in 'bialgebra': unknown key 'note'"),
-        (
-            GROUP_FILE,
-            {"extra": 1},
-            "invalid 'group' in 'bialgebra': malformed group payload: unknown key 'extra'",
-        ),
+        (GROUP_FILE, {"extra": 1}, "invalid 'group' in 'bialgebra': unknown key 'extra'"),
     ],
     ids=["bialgebra-file", "group-file"],
 )
@@ -908,7 +1019,7 @@ def test_cli_group_file_of_another_format_exits_two(tmp_path, capsys, command):
     payload = base_payload(bialgebra=section, triple={"pi": "character:0", "xi": [[1.5, 0.0]]})
     config = write_config(tmp_path, payload)
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
-    expected = "invalid 'group' in 'bialgebra': malformed group payload: unsupported group format 'bialgebra-v1'"
+    expected = "invalid 'group' in 'bialgebra': unsupported group format 'bialgebra-v1'"
     assert capsys.readouterr().err == f"error: {expected}\n"
     assert not (tmp_path / "report.json").exists()
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,20 @@ def test_walk_element_accepts_basis_index(group_z2, z2_sign_triple):
     via_index = walk_matrix_element(psi, 1, f, g, 1.0, 0.25)
     via_coeffs = walk_matrix_element(psi, np.array([0.0, 1.0], dtype=complex), f, g, 1.0, 0.25)
     assert via_index == via_coeffs
+
+
+@pytest.mark.parametrize("index", [-1, 2, True], ids=["negative", "dim", "bool"])
+def test_walk_element_refuses_a_basis_index_outside_the_basis(group_z2, z2_sign_triple, index):
+    psi = build_walk(z2_sign_triple, group_z2.counit, 0.25)
+    f = two_piece()
+    with pytest.raises(ValueError, match=re.escape(f"basis index must be an integer in 0..1, got {index!r}")):
+        walk_matrix_element(psi, index, f, f, 1.0, 0.25)
+
+
+def test_step_durations_that_sum_past_the_float_range_are_refused():
+    # each duration is finite and positive, their sum is not; no overflow warning comes before the refusal
+    with pytest.raises(ValueError, match="^segment durations must sum to a finite time$"):
+        StepFunction(durations=[1e308, 1e308], values=[[0.0], [0.0]])
 
 
 def test_unit_element_euler_vs_exponential(group_z2, z2_sign_triple):
